@@ -1,31 +1,30 @@
-"""Engine comparison benchmark: set vs bitset vs columnar throughput.
+"""Engine comparison benchmark: bitset vs columnar throughput.
 
 Runs the ablation-matcher workload — a lattice-style sweep of sibling
 instances (shared literals, one varying bound) — over dense synthetic
 graphs at several sizes and reports instances/sec per engine and size,
-the classic bitset-over-set speedup, and the columnar engine's speedup
-over the bitset engine (the columnar core's acceptance metric: CSR
-support sweeps + compiled literal masks vs per-candidate row probing).
-Results are written to ``BENCH_matching.json`` at the repository root so
-the perf trajectory is tracked in-tree.
+and the columnar engine's speedup over the bitset engine (the columnar
+core's acceptance metric: CSR support sweeps + compiled literal masks vs
+per-candidate row probing). The matcher runs the columnar engine when its
+indexes carry a columnar store, so the two arms differ only in
+``GraphIndexes(graph, columnar=...)``. Results are written to
+``BENCH_matching.json`` at the repository root so the perf trajectory is
+tracked in-tree.
 
-Standalone on purpose: CI installs only pytest + hypothesis, so this
-script depends on nothing beyond the library and the standard library.
-Without numpy the columnar engine falls back to the bitset propagation
-loop; the report records ``numpy: false`` and skips the columnar rows
-(measuring the fallback would just measure the bitset engine twice).
+Standalone on purpose: it depends on nothing beyond the library and the
+standard library. Without numpy the columnar engine falls back to the
+bitset propagation loop; the report records ``numpy: false`` and skips
+the columnar rows (measuring the fallback would just measure the bitset
+engine twice).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/engine_comparison.py           # full
     PYTHONPATH=src python benchmarks/engine_comparison.py --smoke   # CI
 
-Full mode sweeps ~4k/16k/64k-node graphs; the set engine only runs at
-the smallest size (it is ~40x off the pace — timing it at 64k would
-dominate the whole run for a number the small size already pins). Smoke
-mode keeps one ≥1k-node graph and a reduced sweep so the reported
-speedups are still measured in the dense-graph regime the fast engines
-target.
+Full mode sweeps ~4k/16k/64k-node graphs. Smoke mode keeps one ≥1k-node
+graph and a reduced sweep so the reported speedup is still measured in
+the dense-graph regime the columnar engine targets.
 """
 
 from __future__ import annotations
@@ -48,6 +47,7 @@ from repro.datasets.synthetic import (
     build_synthetic,
 )
 from repro.graph.columnar import HAVE_NUMPY
+from repro.graph.indexes import GraphIndexes
 from repro.matching import SubgraphMatcher
 from repro.query import Instantiation, Op, QueryInstance, QueryTemplate
 
@@ -60,9 +60,6 @@ GRAPH_SEED = 7
 #: instance sweep as graphs grow so each tier stays minutes-bounded.
 FULL_SIZES = ((4_000, 4, 25), (16_000, 5, 50), (64_000, 10, 100))
 SMOKE_SIZES = ((1_200, 5, 35),)
-
-#: The set engine only runs at sizes up to this bound (see module doc).
-SET_ENGINE_MAX_NODES = 4_000
 
 
 def dense_graph(num_nodes: int):
@@ -117,7 +114,7 @@ def sibling_workload(template, xe, xl1_values, xl2_values) -> List[QueryInstance
     ``xe = 0`` leaves the optional closing edge off — an acyclic pattern
     whose answer AC-3 alone pins down (propagation-bound, the columnar
     core's target regime). ``xe = 1`` closes the triangle, making the
-    per-candidate backtracking search (shared by all engines) the
+    per-candidate backtracking search (shared by both engines) the
     dominant cost. The two shapes are benchmarked as separate workloads
     because they measure different parts of the pipeline.
     """
@@ -130,7 +127,8 @@ def sibling_workload(template, xe, xl1_values, xl2_values) -> List[QueryInstance
 
 def run_engine(graph, instances, engine: str, repeats: int) -> Dict:
     """Best-of-N wall-clock over the full instance sweep for one engine."""
-    matcher = SubgraphMatcher(graph, engine=engine)
+    indexes = GraphIndexes(graph, columnar=engine == "columnar")
+    matcher = SubgraphMatcher(graph, indexes)
     matcher.match(instances[0])  # Warm lazy indexes outside the timed region.
     best = float("inf")
     match_counts = None
@@ -180,14 +178,8 @@ def run_workload(graph, instances, engines, repeats: int, name: str) -> Dict:
         "instances": len(instances),
         "repeats": repeats,
         "engines": results,
-        "speedup_bitset_over_set": _speedup(
-            results.get("set"), results.get("bitset")
-        ),
         "speedup_columnar_over_bitset": _speedup(
             results.get("bitset"), results.get("columnar")
-        ),
-        "speedup_columnar_over_set": _speedup(
-            results.get("set"), results.get("columnar")
         ),
     }
 
@@ -199,13 +191,9 @@ def run_size(num_nodes: int, xl1_step: int, xl2_step: int, repeats: int) -> Dict
     xl1_values = range(0, 20, xl1_step)
     xl2_values = range(0, 100, xl2_step)
 
-    engines = ["bitset"]
-    if graph.num_nodes <= SET_ENGINE_MAX_NODES:
-        engines.insert(0, "set")
-    if HAVE_NUMPY:
-        engines.append("columnar")
+    engines = ["bitset", "columnar"] if HAVE_NUMPY else ["bitset"]
 
-    # The triangle shape is search-bound (cost shared by all engines), so
+    # The triangle shape is search-bound (cost shared by both engines), so
     # its sweep stays small; the acyclic shape is the propagation benchmark.
     path = sibling_workload(template, 0, xl1_values, xl2_values)
     triangle = sibling_workload(
@@ -241,12 +229,8 @@ def run(smoke: bool = False) -> Dict:
         "numpy": HAVE_NUMPY,
         "sizes": tiers,
     }
-    # Flat conveniences: the classic bitset-over-set number from the
-    # smallest tier's propagation sweep, and the columnar headline from
-    # the largest tier where both fast engines ran.
-    report["speedup_bitset_over_set"] = tiers[0]["workloads"]["path"][
-        "speedup_bitset_over_set"
-    ]
+    # Flat convenience: the columnar headline from the largest tier where
+    # both engines ran.
     for tier in reversed(tiers):
         speedup = tier["workloads"]["path"]["speedup_columnar_over_bitset"]
         if speedup is not None:
@@ -283,13 +267,9 @@ def main(argv=None) -> int:
                     f"    {name:>8}: {entry['seconds']:.3f}s "
                     f"({entry['instances_per_sec']:.1f} instances/sec)"
                 )
-            for key in (
-                "speedup_bitset_over_set",
-                "speedup_columnar_over_bitset",
-                "speedup_columnar_over_set",
-            ):
-                if cell[key] is not None:
-                    print(f"    {key}: {cell[key]}x")
+            speedup = cell["speedup_columnar_over_bitset"]
+            if speedup is not None:
+                print(f"    speedup_columnar_over_bitset: {speedup}x")
     if report.get("columnar_headline"):
         headline = report["columnar_headline"]
         print(

@@ -13,8 +13,8 @@ synthetic graph, and times the quality-evaluation phase three ways:
 
 Every delta-scored triple is asserted **bitwise equal** to the
 from-scratch one before any timing is reported. A second section runs
-RfQGen end-to-end on a small LKI bundle across both matcher engines with
-the knob on and off, asserting archive equality and reporting wall-clock.
+RfQGen end-to-end on a small LKI bundle with the knob on and off,
+asserting archive equality and reporting wall-clock.
 
 Results land in ``BENCH_scoring.json`` at the repository root.
 
@@ -199,45 +199,35 @@ def _fingerprint(result):
 
 
 def run_end_to_end_section(smoke: bool) -> Dict:
-    """RfQGen end-to-end: both matcher engines × delta scoring on/off."""
+    """RfQGen end-to-end: delta scoring on/off."""
     bundle = lki_bundle(scale=0.1 if smoke else 0.15, coverage_total=6)
     base = GenerationConfig(
         bundle.graph, bundle.template, bundle.groups,
         epsilon=0.1, max_domain_values=4,
     )
     out: Dict[str, Dict] = {}
-    for engine in ("set", "bitset"):
-        entry = {}
-        baseline_fp = None
-        for use_delta in (False, True):
-            registry = MetricsRegistry()
-            config = replace(
-                base,
-                matcher_engine=engine,
-                use_delta_scoring=use_delta,
-                metrics=registry,
-            )
-            start = time.perf_counter()
-            result = RfQGen(config).run()
-            elapsed = time.perf_counter() - start
-            fp = _fingerprint(result)
-            if baseline_fp is None:
-                baseline_fp = fp
-            elif fp != baseline_fp:
-                raise AssertionError(
-                    f"delta scoring changed the {engine}-engine archive"
-                )
-            entry["delta" if use_delta else "scratch"] = {
-                "seconds": round(elapsed, 4),
-                "archive_size": len(result.instances),
-                "delta_updates": registry.value("scoring.delta_updates"),
-                "score_cache_hits": registry.value("scoring.cache_hits"),
-            }
-        out[engine] = entry
+    baseline_fp = None
+    for use_delta in (False, True):
+        registry = MetricsRegistry()
+        config = replace(base, use_delta_scoring=use_delta, metrics=registry)
+        start = time.perf_counter()
+        result = RfQGen(config).run()
+        elapsed = time.perf_counter() - start
+        fp = _fingerprint(result)
+        if baseline_fp is None:
+            baseline_fp = fp
+        elif fp != baseline_fp:
+            raise AssertionError("delta scoring changed the archive")
+        out["delta" if use_delta else "scratch"] = {
+            "seconds": round(elapsed, 4),
+            "archive_size": len(result.instances),
+            "delta_updates": registry.value("scoring.delta_updates"),
+            "score_cache_hits": registry.value("scoring.cache_hits"),
+        }
     return {
         "dataset": "lki",
         "graph": {"nodes": bundle.graph.num_nodes, "edges": bundle.graph.num_edges},
-        "engines": out,
+        "rfqgen": out,
     }
 
 
@@ -272,13 +262,13 @@ def main(argv=None) -> int:
             f"({entry['speedup']}x, cache hit rate "
             f"{entry['score_cache_hit_rate']})"
         )
-    for engine, entry in report["end_to_end"]["engines"].items():
-        print(
-            f"  rfqgen/{engine}: scratch {entry['scratch']['seconds']:.3f}s, "
-            f"delta {entry['delta']['seconds']:.3f}s "
-            f"({entry['delta']['delta_updates']} delta updates, "
-            f"{entry['delta']['score_cache_hits']} cache hits)"
-        )
+    entry = report["end_to_end"]["rfqgen"]
+    print(
+        f"  rfqgen: scratch {entry['scratch']['seconds']:.3f}s, "
+        f"delta {entry['delta']['seconds']:.3f}s "
+        f"({entry['delta']['delta_updates']} delta updates, "
+        f"{entry['delta']['score_cache_hits']} cache hits)"
+    )
     print(f"wrote {args.output}")
     return 0
 

@@ -64,7 +64,7 @@ def build_requests(count: int, slos) -> List[GenerationRequest]:
     classes assigned round-robin (distinct ε defeats dedup, so every
     request costs real work)."""
     templates = workload_templates()
-    options = {k: v for k, v in REQUEST_OPTIONS.items() if k != "matcher_engine"}
+    options = dict(REQUEST_OPTIONS)
     requests = []
     for i in range(count):
         requests.append(
@@ -91,7 +91,7 @@ def quantiles(daemon: ServingDaemon, name: str) -> Dict[str, float]:
 
 def run_sustained(graph, groups, count: int) -> Dict:
     daemon = ServingDaemon(
-        graph, groups, workers=WORKERS, engine="bitset",
+        graph, groups, workers=WORKERS,
         queue_depth=count,  # admission never the bottleneck here
     )
     requests = build_requests(count, SUSTAINED_SLOS)
@@ -118,7 +118,7 @@ def run_sustained(graph, groups, count: int) -> Dict:
 
 def run_overload(graph, groups, count: int, queue_depth: int) -> Dict:
     daemon = ServingDaemon(
-        graph, groups, workers=WORKERS, engine="bitset",
+        graph, groups, workers=WORKERS,
         queue_depth=queue_depth,
     )
     requests = build_requests(count, OVERLOAD_SLOS)

@@ -193,10 +193,8 @@ def cold_rebuild(graph, template, groups, instances, **options):
     return archive
 
 
-def run_section(scale: float, ledger_size: int, updates: int, engine: str) -> Dict:
-    options = dict(
-        epsilon=EPSILON, max_domain_values=DOMAIN_CAP, matcher_engine=engine
-    )
+def run_section(scale: float, ledger_size: int, updates: int) -> Dict:
+    options = dict(epsilon=EPSILON, max_domain_values=DOMAIN_CAP)
     graph, template, groups = build_bundle(scale)
     session = StreamingSession(graph, template, groups, **options)
     session.generate(count=ledger_size, seed=GENERATE_SEED)
@@ -227,14 +225,13 @@ def run_section(scale: float, ledger_size: int, updates: int, engine: str) -> Di
         if archive_fingerprint(session.archive) != archive_fingerprint(cold):
             raise AssertionError(
                 f"incremental archive diverged from cold rebuild at "
-                f"step {step} ({engine} engine)"
+                f"step {step}"
             )
 
     counters = session.metrics.counters()
     mean_stream = statistics.mean(stream_seconds)
     mean_rebuild = statistics.mean(rebuild_seconds)
     return {
-        "engine": engine,
         "graph_nodes": graph.num_nodes,
         "graph_edges": graph.num_edges,
         "ledger_size": len(session.ledger),
@@ -254,9 +251,7 @@ def run_section(scale: float, ledger_size: int, updates: int, engine: str) -> Di
     }
 
 
-def run_membership_section(
-    scale: float, ledger_size: int, updates: int, engine: str = "set"
-) -> Dict:
+def run_membership_section(scale: float, ledger_size: int, updates: int) -> Dict:
     """Membership churn: surgical patching vs invalidate-and-rescore.
 
     Both arms run identical attribute-only delta streams over a
@@ -266,8 +261,7 @@ def run_membership_section(
     re-materialized from the rules on the reference graph.
     """
     options = dict(
-        epsilon=EPSILON, max_domain_values=DOMAIN_CAP,
-        matcher_engine=engine, use_delta_scoring=True,
+        epsilon=EPSILON, max_domain_values=DOMAIN_CAP, use_delta_scoring=True
     )
     deltas = None
     arms: Dict[str, Dict] = {}
@@ -322,7 +316,6 @@ def run_membership_section(
     patched = arms["patched"]["mean_seconds"]
     invalidate = arms["invalidate"]["mean_seconds"]
     return {
-        "engine": engine,
         "graph_nodes": graph_nodes,
         "ledger_size": ledger_size,
         "updates": updates,
@@ -334,19 +327,16 @@ def run_membership_section(
 
 def run(smoke: bool = False) -> Dict:
     scale, ledger_size, updates = SMOKE if smoke else FULL
-    sections = [
-        run_section(scale, ledger_size, updates, engine)
-        for engine in ("set", "bitset")
-    ]
+    section = run_section(scale, ledger_size, updates)
     return {
         "benchmark": "streaming_updates",
         "mode": "smoke" if smoke else "full",
         "graph": {
-            "nodes": sections[0]["graph_nodes"],
-            "edges": sections[0]["graph_edges"],
+            "nodes": section["graph_nodes"],
+            "edges": section["graph_edges"],
             "scale": scale,
         },
-        "engines": {section["engine"]: section for section in sections},
+        "stream": section,
         "membership_churn": run_membership_section(scale, ledger_size, updates),
     }
 
@@ -366,14 +356,14 @@ def main(argv=None) -> int:
         f"streaming updates over {report['graph']['nodes']}-node sparse "
         f"graph (every step verified against a cold rebuild):"
     )
-    for engine, entry in report["engines"].items():
-        print(
-            f"  {engine:>6}: update {entry['stream_mean_seconds']*1000:.2f} ms "
-            f"(p95 {entry['stream_p95_seconds']*1000:.2f} ms) vs rebuild "
-            f"{entry['rebuild_mean_seconds']*1000:.2f} ms — "
-            f"{entry['speedup']}x at "
-            f"{entry['mean_touched_fraction']*100:.2f}% nodes touched"
-        )
+    entry = report["stream"]
+    print(
+        f"  update {entry['stream_mean_seconds']*1000:.2f} ms "
+        f"(p95 {entry['stream_p95_seconds']*1000:.2f} ms) vs rebuild "
+        f"{entry['rebuild_mean_seconds']*1000:.2f} ms — "
+        f"{entry['speedup']}x at "
+        f"{entry['mean_touched_fraction']*100:.2f}% nodes touched"
+    )
     churn = report["membership_churn"]
     print(
         f"  membership churn ({churn['touched_fraction']*100:.2f}% nodes, "

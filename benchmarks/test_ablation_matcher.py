@@ -9,7 +9,7 @@ regressions while extending the library.
 from repro.bench.harness import make_config
 from repro.core.lattice import InstanceLattice
 from repro.graph.indexes import GraphIndexes
-from repro.matching.candidates import initial_candidates, propagate
+from repro.matching.bitset import BitsetEngine, _Work
 from repro.matching.matcher import SubgraphMatcher
 
 
@@ -21,14 +21,15 @@ def _root_instance(ctx, settings):
 
 def test_candidate_propagation(benchmark, ctx, settings):
     config, root = _root_instance(ctx, settings)
-    indexes = GraphIndexes(config.graph)
+    engine = BitsetEngine(GraphIndexes(config.graph))
 
     def run():
-        candidates = initial_candidates(indexes, root)
-        return propagate(config.graph, root, candidates)
+        work = _Work()
+        masks, labels = engine._initial_masks(root, None, None, work)
+        return engine._propagate(root, masks, labels, work)
 
-    candidates, removed = benchmark(run)
-    assert candidates[root.output_node], "root must have matches"
+    masks, removed = benchmark(run)
+    assert masks[root.output_node], "root must have matches"
 
 
 def test_full_match(benchmark, ctx, settings):
@@ -37,9 +38,3 @@ def test_full_match(benchmark, ctx, settings):
     result = benchmark(lambda: matcher.match(root))
     assert result.matches
 
-
-def test_full_match_bitset(benchmark, ctx, settings):
-    config, root = _root_instance(ctx, settings)
-    matcher = SubgraphMatcher(config.graph, engine="bitset")
-    result = benchmark(lambda: matcher.match(root))
-    assert result.matches

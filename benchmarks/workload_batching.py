@@ -67,7 +67,6 @@ GRAPH_SEED = 11
 
 #: Per-request configuration shared by both modes.
 REQUEST_OPTIONS = dict(
-    matcher_engine="bitset",
     max_domain_values=3,
     use_template_refinement=False,
 )
@@ -169,9 +168,7 @@ def run_warm(graph, groups, pairs: Workload) -> Dict:
     region — the warm path must win including its setup cost.
     """
     start = time.perf_counter()
-    batch = BatchSession(graph, groups, engine="bitset", warm=True,
-                         **{k: v for k, v in REQUEST_OPTIONS.items()
-                            if k != "matcher_engine"})
+    batch = BatchSession(graph, groups, warm=True, **REQUEST_OPTIONS)
     outcomes = batch.run(
         [batch.request(t, epsilon=eps) for t, eps in pairs]
     )

@@ -31,7 +31,6 @@ def make_config(
     **overrides,
 ) -> GenerationConfig:
     """A GenerationConfig from a bundle + settings with targeted overrides."""
-    overrides.setdefault("matcher_engine", settings.matcher_engine)
     settings_budget = settings.budget()
     if settings_budget is not None:
         overrides.setdefault("budget", settings_budget)

@@ -11,9 +11,6 @@ Environment knobs (all optional):
 * ``REPRO_BENCH_C`` — total coverage constraint C (default 16);
 * ``REPRO_BENCH_DOMAIN`` — per-variable active-domain cap (default 5);
 * ``REPRO_BENCH_EPSILON`` — default ε (default 0.01, as in the paper);
-* ``REPRO_BENCH_ENGINE`` — matcher engine: ``set`` (default), ``bitset``
-  (runs every experiment through the bitset matching engine) or
-  ``columnar`` (bitset pipeline over the columnar graph core);
 * ``REPRO_BENCH_DEADLINE`` — per-run wall-clock budget in seconds
   (unset = unbounded; exhausted runs return truncated partial fronts);
 * ``REPRO_BENCH_MAX_INSTANCES`` — per-run verified-instance budget;
@@ -55,7 +52,6 @@ class BenchSettings:
     coverage_total: int
     max_domain_values: int
     epsilon: float
-    matcher_engine: str = "set"
     deadline_seconds: Optional[float] = None
     max_instances: Optional[int] = None
     max_backtracks: Optional[int] = None
@@ -66,8 +62,7 @@ class BenchSettings:
         note = (
             f"[scaled: graph scale={self.scale}, C={self.coverage_total} "
             f"(paper C=200 on 1M-4.9M-node graphs), domain cap="
-            f"{self.max_domain_values}, eps={self.epsilon}, "
-            f"engine={self.matcher_engine}"
+            f"{self.max_domain_values}, eps={self.epsilon}"
         )
         budget = self.budget()
         if budget is not None:
@@ -98,7 +93,6 @@ def bench_settings() -> BenchSettings:
         coverage_total=_env_int("REPRO_BENCH_C", 16),
         max_domain_values=_env_int("REPRO_BENCH_DOMAIN", 5),
         epsilon=_env_float("REPRO_BENCH_EPSILON", 0.01),
-        matcher_engine=os.environ.get("REPRO_BENCH_ENGINE", "set"),
         deadline_seconds=_env_opt_float("REPRO_BENCH_DEADLINE"),
         max_instances=_env_opt_int("REPRO_BENCH_MAX_INSTANCES"),
         max_backtracks=_env_opt_int("REPRO_BENCH_MAX_BACKTRACKS"),

@@ -101,9 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "rules, overlap allowed; see docs/fairness.md) "
                           "replacing the dataset's default groups")
     generate.add_argument("--domain-cap", type=int, default=5)
-    generate.add_argument("--engine", choices=("set", "bitset", "columnar"), default="set",
-                          help="matching engine verifying instances "
-                          "(bitset = mask pools + literal-pool caching)")
     generate.add_argument("--delta-scoring", action="store_true",
                           help="maintain δ/f by answer-set deltas along "
                           "lattice edges (same values, less work)")
@@ -123,8 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     online.add_argument("--epsilon", type=float, default=0.05)
     online.add_argument("--scale", type=float, default=0.15)
     online.add_argument("--coverage", type=int, default=16)
-    online.add_argument("--engine", choices=("set", "bitset", "columnar"), default="set",
-                        help="matching engine verifying instances")
     online.add_argument("--delta-scoring", action="store_true",
                         help="maintain δ/f by answer-set deltas (same "
                         "values, less work)")
@@ -148,9 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON group-system spec replacing the dataset's "
                        "default groups for the whole batch (requests may "
                        "also carry per-request 'group_system' specs)")
-    batch.add_argument("--engine", choices=("set", "bitset", "columnar"), default="bitset",
-                       help="default matching engine (bitset exercises the "
-                       "workload literal-pool cache tier)")
     batch.add_argument("--domain-cap", type=int, default=5)
     batch.add_argument("--no-warm", action="store_true",
                        help="skip pre-building the per-label index state")
@@ -181,8 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON group-system spec replacing the dataset's "
                         "default groups (requests may also carry per-request "
                         "'group_system' specs)")
-    daemon.add_argument("--engine", choices=("set", "bitset", "columnar"), default="bitset",
-                        help="default matching engine")
     daemon.add_argument("--domain-cap", type=int, default=5)
     daemon.add_argument("--no-warm", action="store_true",
                         help="skip pre-building the per-label index state")
@@ -221,8 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "default groups for the streamed archive")
     stream.add_argument("--epsilon", type=float, default=0.05)
     stream.add_argument("--domain-cap", type=int, default=5)
-    stream.add_argument("--engine", choices=("set", "bitset", "columnar"), default="set",
-                        help="matching engine verifying instances")
     stream.add_argument("--delta-scoring", action="store_true",
                         help="maintain δ/f by answer-set deltas (same "
                         "values, less work)")
@@ -394,7 +382,6 @@ def _cmd_generate(args) -> int:
         epsilon=args.epsilon,
         max_domain_values=args.domain_cap,
         metrics=registry,
-        matcher_engine=args.engine,
         use_delta_scoring=args.delta_scoring,
         budget=_budget_from_args(args),
         groups=_load_group_system(args, bundle.graph, registry),
@@ -439,7 +426,6 @@ def _cmd_online(args) -> int:
         BenchSettings(args.scale, args.coverage, 5, args.epsilon),
         epsilon=args.epsilon,
         metrics=registry,
-        matcher_engine=args.engine,
         use_delta_scoring=args.delta_scoring,
         budget=_budget_from_args(args),
     )
@@ -479,7 +465,6 @@ def _cmd_stream(args) -> int:
         _load_group_system(args, bundle.graph) or bundle.groups,
         epsilon=args.epsilon,
         max_domain_values=args.domain_cap,
-        matcher_engine=args.engine,
         use_delta_scoring=args.delta_scoring,
     )
     session.generate(count=args.generate, seed=args.seed)
@@ -514,7 +499,7 @@ def _cmd_stream(args) -> int:
     print_table(
         rows,
         f"{args.updates} updates over {bundle.name} "
-        f"(ledger {len(session.ledger)}, engine {args.engine})",
+        f"(ledger {len(session.ledger)})",
     )
     final = [
         {
@@ -547,7 +532,6 @@ def _cmd_batch(args) -> int:
     session = BatchSession(
         bundle.graph,
         _load_group_system(args, bundle.graph) or bundle.groups,
-        engine=args.engine,
         warm=not args.no_warm,
         max_domain_values=args.domain_cap,
     )
@@ -562,8 +546,7 @@ def _cmd_batch(args) -> int:
         outcomes.append(outcome)
     print_table(
         [o.as_row() for o in outcomes],
-        f"batch of {len(outcomes)} requests over {bundle.name} "
-        f"(engine default: {args.engine})",
+        f"batch of {len(outcomes)} requests over {bundle.name}",
     )
     metrics = session.metrics
     failed = metrics.value("service.failed")
@@ -628,7 +611,6 @@ def _cmd_daemon(args) -> int:
         bundle.graph,
         _load_group_system(args, bundle.graph) or bundle.groups,
         workers=args.workers,
-        engine=args.engine,
         defaults={"max_domain_values": args.domain_cap},
         queue_depth=args.queue_depth,
         max_retries=args.max_retries,
@@ -663,7 +645,7 @@ def _cmd_daemon(args) -> int:
     print_table(
         [o.as_row() for o in outcomes],
         f"daemon workload of {len(outcomes)} submissions over {bundle.name} "
-        f"({args.workers} workers, engine default: {args.engine})",
+        f"({args.workers} workers)",
     )
     metrics = daemon.metrics
     failed = metrics.value("service.daemon.failed")

@@ -49,14 +49,6 @@ class GenerationConfig:
         use_template_refinement: Enable Spawn's d-hop domain restriction
             and edge-variable fixing (Section IV optimization).
         injective: Use isomorphism-style (injective) match semantics.
-        matcher_engine: ``"set"`` (default), ``"bitset"`` or
-            ``"columnar"`` — which matching pipeline verifies instances.
-            All return identical answers; the bitset engine trades
-            per-instance set algebra for integer bitmask operations plus
-            a run-level literal-pool cache, and the columnar engine
-            additionally enables the graph's columnar core (CSR
-            adjacency, compiled column-mask predicates, vectorized
-            propagation), which pays off on large graphs.
         verifier_max_entries: Optional LRU bound on the verification memo
             table (None = unbounded; set for long online streams).
         metrics: Optional shared :class:`~repro.obs.registry.MetricsRegistry`
@@ -79,12 +71,12 @@ class GenerationConfig:
             sharing never changes results.
         shared_literal_pools: Optional workload-scoped
             :class:`~repro.matching.bitset.WorkloadLiteralPools` backing
-            the bitset engine's literal cache across runs (tier-2 of the
-            serving cache hierarchy; ignored by the set engine). Must be
+            the matcher's literal cache across runs (tier-2 of the
+            serving cache hierarchy). Must be
             paired with the ``shared_indexes`` whose bit enumerations its
             masks refer to.
-        literal_pool_max_entries: Optional LRU bound on the bitset
-            engine's local literal-pool cache (None = unbounded; set for
+        literal_pool_max_entries: Optional LRU bound on the matcher's
+            local literal-pool cache (None = unbounded; set for
             long-lived engines such as online streams or serving
             sessions).
         use_delta_scoring: Route quality evaluation through the
@@ -113,7 +105,6 @@ class GenerationConfig:
     use_incremental: bool = True
     use_template_refinement: bool = True
     injective: bool = False
-    matcher_engine: str = "set"
     verifier_max_entries: Optional[int] = None
     metrics: Optional[MetricsRegistry] = None
     budget: Optional[Budget] = None
@@ -130,11 +121,6 @@ class GenerationConfig:
             raise ConfigurationError("epsilon must be positive")
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigurationError("lambda must lie in [0, 1]")
-        if self.matcher_engine not in ("set", "bitset", "columnar"):
-            raise ConfigurationError(
-                f"unknown matcher engine {self.matcher_engine!r} "
-                "(expected 'set', 'bitset' or 'columnar')"
-            )
         if self.shared_indexes is not None and self.shared_indexes.graph is not self.graph:
             raise ConfigurationError(
                 "shared_indexes were built over a different graph object; "

@@ -90,7 +90,6 @@ class InstanceEvaluator:
             config.build_indexes(),
             injective=config.injective,
             metrics=self.metrics,
-            engine=config.matcher_engine,
             guard=self.guard,
             shared_literal_pools=config.shared_literal_pools,
             literal_pool_max_entries=config.literal_pool_max_entries,

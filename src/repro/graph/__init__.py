@@ -12,7 +12,8 @@ The columnar core (:mod:`repro.graph.columnar`) is the flat companion of
 all of it: CSR adjacency per (edge label, direction), interned attribute
 value columns and compiled per-column predicate masks, built once per
 frozen graph and repaired in place under streaming deltas. It is opt-in
-(``GraphIndexes.enable_columnar`` / the ``columnar`` matcher engine) and
+(``GraphIndexes(graph, columnar=True)`` / ``GraphIndexes.enable_columnar``,
+which also switch the matcher to its columnar engine) and
 bit-for-bit compatible with the dict-based paths.
 """
 

@@ -7,9 +7,9 @@ attribute value, so a range predicate resolves with two binary searches.
 
 The :class:`BitsetIndex` additionally owns, per node label, a *dense
 enumeration* of the label's nodes (bit position ↔ node id) plus lazily
-materialized adjacency rows — one Python integer per
-``(data node, edge label, direction, neighbor label)`` — which is the
-substrate of the bitset matching engine
+materialized adjacency rows — one Python integer per data node in a
+table per ``(label, edge label, direction, neighbor label)`` relation —
+which is the substrate of the bitset matching engine
 (:mod:`repro.matching.bitset`): candidate pools become integer bitmasks
 and support checks become single AND operations.
 """
@@ -160,7 +160,7 @@ class BitsetIndex:
         self._order: Dict[str, Tuple[int, ...]] = {}
         self._position: Dict[str, Dict[int, int]] = {}
         self._full: Dict[str, int] = {}
-        self._rows: Dict[Tuple[int, str, bool, str], int] = {}
+        self._rows: Dict[Tuple[str, str, bool, str], List[Optional[int]]] = {}
         self._store: Optional["ColumnarStore"] = None
 
     def use_store(self, store: "ColumnarStore") -> None:
@@ -229,18 +229,47 @@ class BitsetIndex:
         return out
 
     # -- Adjacency rows --------------------------------------------------- #
+    #
+    # Rows live in one table per relation ``(label, edge label, direction,
+    # neighbor label)``: a list indexed by the anchor's bit position in
+    # ``label``'s enumeration. A row is stored *encoded*: a node with
+    # exactly one neighbor, at bit position p, stores ``~p`` (negative)
+    # instead of the dense ``1 << p``, which would cost ~p/8 bytes; on
+    # sparse graphs such rows are the plurality. Every other row is its
+    # dense mask (0 without neighbors). Unbuilt rows are ``None``.
 
-    def adjacency_row(
-        self, node_id: int, edge_label: str, outgoing: bool, neighbor_label: str
-    ) -> int:
-        """Mask of ``neighbor_label`` nodes adjacent to ``node_id``.
+    def relation(
+        self, label: str, edge_label: str, outgoing: bool, neighbor_label: str
+    ) -> List[Optional[int]]:
+        """The encoded row table of one relation, indexed by bit position.
 
-        ``outgoing=True`` reads successors (edges ``node_id → ·``),
-        ``False`` predecessors.
+        The matcher fetches a query edge's table once and then reads
+        ``table[position]`` per candidate, building missing rows with
+        :meth:`row`.
         """
-        key = (node_id, edge_label, outgoing, neighbor_label)
-        row = self._rows.get(key)
+        key = (label, edge_label, outgoing, neighbor_label)
+        table = self._rows.get(key)
+        if table is None:
+            table = self._rows[key] = [None] * len(self.order(label))
+        return table
+
+    def row(
+        self,
+        position: int,
+        label: str,
+        edge_label: str,
+        outgoing: bool,
+        neighbor_label: str,
+    ) -> int:
+        """The encoded row of the ``position``-th ``label`` node.
+
+        ``outgoing=True`` reads successors (edges ``node → ·``), ``False``
+        predecessors. Built on first touch and cached.
+        """
+        table = self.relation(label, edge_label, outgoing, neighbor_label)
+        row = table[position]
         if row is None:
+            node_id = self.order(label)[position]
             if self._store is not None:
                 row = self._store.adjacency_mask(
                     node_id, edge_label, outgoing, neighbor_label
@@ -252,8 +281,23 @@ class BitsetIndex:
                     else self._graph.predecessors(node_id, edge_label)
                 )
                 row = self.mask_of(neighbor_label, neighbors)
-            self._rows[key] = row
+            if row and not row & (row - 1):
+                row = ~(row.bit_length() - 1)
+            table[position] = row
         return row
+
+    def adjacency_row(
+        self, node_id: int, edge_label: str, outgoing: bool, neighbor_label: str
+    ) -> int:
+        """Dense mask of ``neighbor_label`` nodes adjacent to ``node_id``.
+
+        ``outgoing=True`` reads successors (edges ``node_id → ·``),
+        ``False`` predecessors.
+        """
+        label = self._graph.label(node_id)
+        position = self.positions(label)[node_id]
+        row = self.row(position, label, edge_label, outgoing, neighbor_label)
+        return 1 << ~row if row < 0 else row
 
     def drop_rows(self, nodes: Iterable[int]) -> int:
         """Invalidate the cached adjacency rows of the given data nodes.
@@ -261,19 +305,24 @@ class BitsetIndex:
         An edge delta only changes rows anchored at a touched endpoint;
         the per-label enumerations, inverse positions and full masks are
         node-set properties and survive every edge/attribute update, so
-        this is the *whole* bitset repair for an in-place delta. Returns
-        how many rows were dropped.
+        this is the *whole* bitset repair for an in-place delta. Costs
+        O(touched nodes × relations). Returns how many rows were dropped.
         """
         touched = set(nodes)
-        stale = [key for key in self._rows if key[0] in touched]
-        for key in stale:
-            del self._rows[key]
-        return len(stale)
+        dropped = 0
+        for (label, _, _, _), table in self._rows.items():
+            positions = self.positions(label)
+            for node in touched:
+                position = positions.get(node)
+                if position is not None and table[position] is not None:
+                    table[position] = None
+                    dropped += 1
+        return dropped
 
     @property
     def cached_rows(self) -> int:
         """Number of adjacency rows materialized so far (observability)."""
-        return len(self._rows)
+        return sum(len(table) - table.count(None) for table in self._rows.values())
 
 
 class GraphIndexes:
@@ -344,15 +393,14 @@ class GraphIndexes:
     def warm(self, labels: Optional[Iterable[str]] = None) -> None:
         """Pre-build the cheap per-label state (serving cold-start cut).
 
-        Materializes the label pools, bitset enumerations, inverse
-        positions and full masks for ``labels`` (default: every node
-        label), so the first request served from a shared
-        :class:`GraphIndexes` does not pay them. Adjacency rows and
-        attribute tables stay lazy — their key space is workload-dependent
-        and pre-building all of them would dwarf a request.
+        Materializes the bitset enumerations, inverse positions and full
+        masks for ``labels`` (default: every node label), so the first
+        request served from a shared :class:`GraphIndexes` does not pay
+        them. Adjacency rows and attribute tables stay lazy — their key
+        space is workload-dependent and pre-building all of them would
+        dwarf a request.
         """
         for label in labels if labels is not None else self.graph.node_labels():
-            self.labels.nodes(label)
             self.bitsets.positions(label)
             self.bitsets.full_mask(label)
         if self.columnar is not None:

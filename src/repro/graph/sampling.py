@@ -21,8 +21,8 @@ def d_hop_neighborhood(
     """Node ids within ``d`` undirected hops of any seed (seeds included).
 
     BFS over the union of in- and out-adjacency; ``d = 0`` returns the
-    seeds themselves. When the graph's columnar store is built (an engine
-    or service context enabled it), the BFS walks the undirected CSR
+    seeds themselves. When the graph's columnar store is built (columnar
+    indexes or a service context enabled it), the BFS walks the undirected CSR
     instead — level-synchronous frontier expansion over flat offset
     arrays, same ball.
     """

@@ -12,19 +12,23 @@ node's candidates. Incremental verification (the paper's ``incVerify``)
 seeds a child instance's candidates with its verified parent's, valid by
 Lemma 2 (refinement shrinks match sets).
 
-Three interchangeable engines implement the pipeline: the original
-set-based one (default), the bitset engine (:mod:`repro.matching.bitset`),
-which represents pools as integer bitmasks and caches literal pools across
-a whole run, and the columnar engine
-(:mod:`repro.matching.columnar_engine`), which additionally resolves
-literals through compiled column masks and runs propagation as vectorized
-CSR support sweeps — select with ``SubgraphMatcher(..., engine=...)`` or
-``GenerationConfig.matcher_engine``.
+The pipeline runs on integer bitmasks (:mod:`repro.matching.bitset`):
+candidate pools are masks over per-label node enumerations and literal
+pools are cached across a whole run. When the indexes carry a columnar
+store, :class:`ColumnarEngine` (:mod:`repro.matching.columnar_engine`)
+runs propagation as vectorized CSR support sweeps instead; results are
+identical. :mod:`repro.matching.reference` holds the naive and VF2
+oracles the tests compare against.
 """
 
-from repro.matching.candidates import CandidateMap, initial_candidates, propagate
-from repro.matching.matcher import MatchResult, SubgraphMatcher
-from repro.matching.bitset import BitsetEngine, LiteralPoolCache, MaskMap
+from repro.matching.bitset import (
+    BitsetEngine,
+    CandidateMap,
+    LiteralPoolCache,
+    MaskMap,
+    MatchResult,
+)
+from repro.matching.matcher import SubgraphMatcher
 from repro.matching.columnar_engine import ColumnarEngine
 from repro.matching.incremental import IncrementalVerifier
 from repro.matching.reference import naive_match_set, nx_monomorphism_match_set
@@ -34,8 +38,6 @@ from repro.matching.profiling import InstanceProfile, profile_instance
 __all__ = [
     "CandidateMap",
     "MaskMap",
-    "initial_candidates",
-    "propagate",
     "SubgraphMatcher",
     "BitsetEngine",
     "ColumnarEngine",

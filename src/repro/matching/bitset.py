@@ -1,10 +1,9 @@
 """Bitset matching engine with hierarchical literal-pool caching.
 
-A drop-in alternative to the set-based pipeline in
-:mod:`repro.matching.candidates` / :mod:`repro.matching.matcher`: candidate
-pools are arbitrary-precision Python integers over the per-label node
-enumerations owned by :class:`~repro.graph.indexes.BitsetIndex`, so the
-three hot loops of instance verification become bit-parallel:
+The verification pipeline behind :class:`~repro.matching.matcher.SubgraphMatcher`:
+candidate pools are arbitrary-precision Python integers over the per-label
+node enumerations owned by :class:`~repro.graph.indexes.BitsetIndex`, so
+the three hot loops of instance verification become bit-parallel:
 
 * **literal filtering** — every ``(label, attribute, op, constant)``
   literal resolves to a cached mask (:class:`LiteralPoolCache`), and a
@@ -17,37 +16,39 @@ three hot loops of instance verification become bit-parallel:
   :class:`~repro.service.context.GraphContext`), so masks computed by one
   run of a batch are reused by every later run over the same graph;
 * **arc-consistency support checks** — ``adjacency_row(v) & pool != 0``
-  replaces the per-neighbor set probing of AC-3;
+  replaces the per-neighbor set probing of AC-3; each query-edge
+  constraint fetches its relation's row table once
+  (:meth:`~repro.graph.indexes.BitsetIndex.relation`), so a candidate's
+  probe is one list read plus one AND;
 * **backtracking extension** — the candidates of the next query node are
   the AND of its pool with the already-assigned neighbors' adjacency rows,
   which also subsumes the per-edge consistency re-check.
 
 The engine publishes its work under ``matcher.bitset.*`` (literal-pool
 hits/misses, mask intersections) on top of the shared ``matcher.*``
-counters, and returns :class:`~repro.matching.matcher.MatchResult` objects
-carrying the raw candidate *masks* alongside the materialized sets, so the
-incremental verifier can seed a child's pools from its parent without a
-set→mask round trip.
-
-Selected via ``GenerationConfig.matcher_engine = "bitset"`` (CLI:
-``--engine bitset``); the default remains the set engine, which keeps the
-counter-regression baselines bit-identical.
+counters, and returns :class:`MatchResult` objects carrying only the
+candidate *masks*: the incremental verifier seeds a child's pools from
+them directly, and the per-node id sets are built only when a caller
+reads :attr:`MatchResult.candidates`.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.errors import MatchingError
-from repro.graph.indexes import GraphIndexes
+from repro.graph.indexes import BitsetIndex, GraphIndexes
 from repro.obs.registry import MetricsRegistry
 from repro.query.instance import QueryInstance
 from repro.query.predicates import Literal
 from repro.runtime.budget import NULL_GUARD, ExecutionGuard
 
-#: Per-query-node candidate masks (the bitset analogue of ``CandidateMap``).
+#: Per-query-node candidate masks.
 MaskMap = Dict[str, int]
+#: Per-query-node candidate id sets (the materialized view of a MaskMap).
+CandidateMap = Dict[str, Set[int]]
+#: Row-table key: (anchor label, edge label, outgoing, neighbor label).
+Relation = Tuple[str, str, bool, str]
 
 
 def iter_bits(mask: int):
@@ -56,6 +57,92 @@ def iter_bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def is_acyclic(instance: QueryInstance) -> bool:
+    """Undirected acyclicity test: |E| = |V| - 1 on a connected query.
+
+    Parallel edges between the same node pair (different labels or
+    directions) count as a cycle for safety.
+    """
+    pairs = set()
+    for source, target, _ in instance.edges:
+        pair = (source, target) if source <= target else (target, source)
+        if pair in pairs:
+            return False
+        pairs.add(pair)
+    return len(pairs) == len(instance.active_nodes) - 1
+
+
+class MatchResult:
+    """Outcome of verifying one query instance against the graph.
+
+    Attributes:
+        matches: ``q(G)`` — the exact match set of the output node.
+        candidate_masks: AC-pruned per-node candidate pools as bitmasks
+            over the per-label enumerations (supersets of the exact
+            per-node match sets; exact on acyclic instances). These seed
+            the incremental verification of refined children.
+        backtrack_calls: Number of recursive extension calls performed
+            (work counter for the efficiency experiments).
+        pruned_candidates: Candidates removed by arc consistency.
+    """
+
+    __slots__ = (
+        "matches",
+        "candidate_masks",
+        "backtrack_calls",
+        "pruned_candidates",
+        "_labels",
+        "_bitsets",
+        "_candidates",
+    )
+
+    def __init__(
+        self,
+        matches: FrozenSet[int],
+        candidate_masks: MaskMap,
+        labels: Mapping[str, str],
+        bitsets: BitsetIndex,
+        backtrack_calls: int = 0,
+        pruned_candidates: int = 0,
+    ) -> None:
+        self.matches = matches
+        self.candidate_masks = candidate_masks
+        self.backtrack_calls = backtrack_calls
+        self.pruned_candidates = pruned_candidates
+        self._labels = labels
+        self._bitsets = bitsets
+        self._candidates: Optional[CandidateMap] = None
+
+    @property
+    def cardinality(self) -> int:
+        """``|q(G)|``."""
+        return len(self.matches)
+
+    @property
+    def candidates(self) -> CandidateMap:
+        """The candidate masks as per-node id sets, built on first access.
+
+        Per-label enumerations never change while the node set is fixed
+        (in-place deltas keep it), so a late materialization reads the
+        same bit → id mapping the match ran against.
+        """
+        if self._candidates is None:
+            to_ids = self._bitsets.to_ids
+            labels = self._labels
+            self._candidates = {
+                node_id: to_ids(labels[node_id], mask)
+                for node_id, mask in self.candidate_masks.items()
+            }
+        return self._candidates
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"MatchResult(matches={len(self.matches)}, "
+            f"backtrack_calls={self.backtrack_calls}, "
+            f"pruned_candidates={self.pruned_candidates})"
+        )
 
 
 class WorkloadLiteralPools:
@@ -309,11 +396,11 @@ class _Work:
 
 
 class BitsetEngine:
-    """The bitset verification pipeline behind ``SubgraphMatcher``.
+    """The mask verification pipeline behind ``SubgraphMatcher``.
 
-    Mirrors the set engine's observable behaviour — identical ``matches``
-    and identical AC-pruned candidate maps (the differential suite pins
-    this) — while counting its own work under ``matcher.bitset.*``.
+    Matches are exact (the engine-vs-oracle differential suite pins them
+    against :mod:`repro.matching.reference`); work is counted under the
+    shared ``matcher.*`` counters plus ``matcher.bitset.*``.
 
     Args:
         indexes: Shared graph indexes (owns the bitset enumerations).
@@ -362,7 +449,7 @@ class BitsetEngine:
             self.metrics.counter(name)
 
     # ------------------------------------------------------------------ #
-    # Public API (same shape as SubgraphMatcher's internals expect)
+    # Public API (called through SubgraphMatcher)
     # ------------------------------------------------------------------ #
 
     def match(
@@ -371,16 +458,14 @@ class BitsetEngine:
         restrict: Optional[Mapping[str, Set[int]]] = None,
         restrict_masks: Optional[Mapping[str, int]] = None,
         first_only: bool = False,
-    ):
-        """Compute ``q(G)`` plus candidate sets/masks for ``instance``.
+    ) -> MatchResult:
+        """Compute ``q(G)`` plus the AC-pruned candidate masks of ``instance``.
 
-        ``restrict_masks`` is the mask-native incremental-verification
-        hook (a verified parent's candidate masks); ``restrict`` accepts
-        plain sets for API compatibility. ``first_only`` stops after the
-        first confirmed output match (the ``exists()`` fast path).
+        ``restrict_masks`` is the incremental-verification hook (a
+        verified parent's candidate masks); ``restrict`` bounds pools by
+        plain id sets. ``first_only`` stops after the first confirmed
+        output match (the ``exists()`` fast path).
         """
-        from repro.matching.matcher import MatchResult
-
         metrics = self.metrics
         metrics.inc("matcher.match_calls")
         work = _Work()
@@ -393,9 +478,7 @@ class BitsetEngine:
             metrics.inc("matcher.empty_pool_short_circuits")
             self._publish(work)
             return MatchResult(
-                frozenset(),
-                {k: set() for k in masks},
-                candidate_masks={k: 0 for k in masks},
+                frozenset(), {k: 0 for k in masks}, labels, self.bitsets
             )
         masks, pruned = self._propagate(instance, masks, labels, work)
         metrics.inc("matcher.ac_removed", pruned)
@@ -405,10 +488,7 @@ class BitsetEngine:
             metrics.inc("matcher.empty_pool_short_circuits")
             self._publish(work)
             return MatchResult(
-                frozenset(),
-                self._materialize(masks, labels),
-                pruned_candidates=pruned,
-                candidate_masks=dict(masks),
+                frozenset(), masks, labels, self.bitsets, pruned_candidates=pruned
             )
 
         matches = self._solve(instance, masks, labels, output, work, first_only)
@@ -416,10 +496,11 @@ class BitsetEngine:
         self._publish(work)
         return MatchResult(
             frozenset(matches),
-            self._materialize(masks, labels),
+            masks,
+            labels,
+            self.bitsets,
             backtrack_calls=work.backtracks,
             pruned_candidates=pruned,
-            candidate_masks=dict(masks),
         )
 
     def match_outputs(
@@ -429,9 +510,6 @@ class BitsetEngine:
         restrict: Optional[Mapping[str, Set[int]]] = None,
     ) -> Dict[str, frozenset]:
         """Exact match sets for several query nodes at once (paper §VI)."""
-        for output in outputs:
-            if output not in instance.active_nodes:
-                raise MatchingError(f"output node {output!r} not active in instance")
         metrics = self.metrics
         metrics.inc("matcher.match_outputs_calls")
         work = _Work()
@@ -442,16 +520,15 @@ class BitsetEngine:
             return {output: frozenset() for output in outputs}
         masks, pruned = self._propagate(instance, masks, labels, work)
         metrics.inc("matcher.ac_removed", pruned)
-        if (
-            len(instance.active_nodes) == 1
-            or (self._is_acyclic(instance) and not self.injective)
+        if len(instance.active_nodes) == 1 or (
+            is_acyclic(instance) and not self.injective
         ):
             self._publish(work)
             return {
                 output: frozenset(self.bitsets.to_ids(labels[output], masks[output]))
                 for output in outputs
             }
-        adjacency = instance.adjacency()
+        links = self._links(instance, labels)
         results: Dict[str, frozenset] = {}
         for output in outputs:
             order = self._search_order(instance, masks, output)
@@ -459,11 +536,10 @@ class BitsetEngine:
             out_order = self.bitsets.order(labels[output])
             for position in iter_bits(masks[output]):
                 self.guard.checkpoint(extra_backtracks=work.backtracks)
-                v = out_order[position]
                 if self._extendable(
-                    adjacency, masks, labels, order, {output: v}, 1, work
+                    links, masks, labels, order, {output: position}, 1, work
                 ):
-                    matched.add(v)
+                    matched.add(out_order[position])
             results[output] = frozenset(matched)
         metrics.inc("matcher.backtrack_calls", work.backtracks)
         self._publish(work)
@@ -511,19 +587,28 @@ class BitsetEngine:
     ) -> Tuple[MaskMap, int]:
         """AC-3 fixpoint over masks; returns the pruned map and removals.
 
-        Mirrors :func:`repro.matching.candidates.propagate` (sorted
-        worklist, whole-node re-examination, global zeroing on an empty
-        pool) so both engines report identical removal counts.
+        A candidate ``v`` of ``u`` survives iff, for every query edge at
+        ``u``, ``v``'s adjacency row toward the neighbor's label meets the
+        neighbor's pool. The worklist is sorted (``active_nodes`` iterates
+        in hash order, and the early exit on an empty pool makes the
+        removal count order-dependent), so the ``matcher.ac_removed``
+        counter is reproducible across processes.
         """
-        constraints: Dict[str, List[Tuple[str, str, bool, str]]] = {
+        bitsets = self.bitsets
+        # Per node: (other, row-table key) for each incident query edge.
+        constraints: Dict[str, List[Tuple[str, Relation]]] = {
             n: [] for n in instance.active_nodes
         }
         for source, target, label in instance.edges:
-            constraints[source].append((target, label, True, labels[target]))
-            constraints[target].append((source, label, False, labels[source]))
+            constraints[source].append(
+                (target, (labels[source], label, True, labels[target]))
+            )
+            constraints[target].append(
+                (source, (labels[target], label, False, labels[source]))
+            )
 
-        bitsets = self.bitsets
         removed = 0
+        probes = 0
         queue = deque(sorted(instance.active_nodes))
         queued = set(queue)
         while queue:
@@ -531,31 +616,42 @@ class BitsetEngine:
             queued.discard(node_id)
             pool = masks[node_id]
             node_constraints = constraints[node_id]
-            order = bitsets.order(labels[node_id])
+            # One row table per constraint, fetched once per sweep; the
+            # neighbor pools cannot change while this node is swept.
+            checks = [
+                (bitsets.relation(*relation), masks[other], relation)
+                for other, relation in node_constraints
+            ]
             survivors = 0
             remaining = pool
             while remaining:
                 low = remaining & -remaining
                 remaining ^= low
-                v = order[low.bit_length() - 1]
-                for other, edge_label, outgoing, other_label in node_constraints:
-                    row = bitsets.adjacency_row(v, edge_label, outgoing, other_label)
-                    work.intersections += 1
-                    if not row & masks[other]:
+                position = low.bit_length() - 1
+                for table, other_mask, relation in checks:
+                    row = table[position]
+                    if row is None:
+                        row = bitsets.row(position, *relation)
+                    probes += 1
+                    if row < 0:  # single neighbor at bit ~row
+                        if not other_mask >> ~row & 1:
+                            break
+                    elif not row & other_mask:
                         break
                 else:
                     survivors |= low
             if survivors != pool:
                 removed += (pool & ~survivors).bit_count()
                 masks[node_id] = survivors
-                for other, _, _, _ in node_constraints:
+                for other, _ in node_constraints:
                     if other not in queued:
                         queue.append(other)
                         queued.add(other)
                 if not survivors:
                     for key in masks:
                         masks[key] = 0
-                    return masks, removed
+                    break
+        work.intersections += probes
         return masks, removed
 
     def _solve(
@@ -568,34 +664,32 @@ class BitsetEngine:
         first_only: bool,
     ) -> Set[int]:
         """Fast paths + backtracking sweep over the output pool."""
-        metrics = self.metrics
+        if len(instance.active_nodes) == 1 or (
+            is_acyclic(instance) and not self.injective
+        ):
+            # Arc consistency is exact for homomorphisms on acyclic queries.
+            self.metrics.inc("matcher.acyclic_fast_paths")
+            return self.bitsets.to_ids(labels[output], masks[output])
         matches: Set[int] = set()
         out_order = self.bitsets.order(labels[output])
-        if len(instance.active_nodes) == 1 or (
-            self._is_acyclic(instance) and not self.injective
-        ):
-            metrics.inc("matcher.acyclic_fast_paths")
-            matches = self.bitsets.to_ids(labels[output], masks[output])
-            return matches
         order = self._search_order(instance, masks, output)
-        adjacency = instance.adjacency()
+        links = self._links(instance, labels)
         guard = self.guard
         for position in iter_bits(masks[output]):
             # Loop-head budget probe; in-flight backtracks ride along since
             # they are only folded into the registry after the sweep.
             guard.checkpoint(extra_backtracks=work.backtracks)
-            v = out_order[position]
             if self._extendable(
-                adjacency, masks, labels, order, {output: v}, 1, work
+                links, masks, labels, order, {output: position}, 1, work
             ):
-                matches.add(v)
+                matches.add(out_order[position])
                 if first_only:
                     break
         return matches
 
     def _extendable(
         self,
-        adjacency: Dict[str, List[Tuple[str, str, bool]]],
+        links: Dict[str, List[Tuple[str, List[Optional[int]], Relation]]],
         masks: MaskMap,
         labels: Dict[str, str],
         order: List[str],
@@ -605,36 +699,41 @@ class BitsetEngine:
     ) -> bool:
         """Depth-first existence check; extension pools are single ANDs.
 
-        Intersecting the node's pool with *every* assigned neighbor's
-        adjacency row both shrinks the pool and enforces edge consistency,
-        so no per-candidate edge re-check remains.
+        ``assignment`` maps assigned query nodes to bit positions in their
+        label's enumeration. Intersecting the node's pool with *every*
+        assigned neighbor's adjacency row both shrinks the pool and
+        enforces edge consistency, so no per-candidate edge re-check
+        remains.
         """
         work.backtracks += 1
         if depth == len(order):
             return True
         node_id = order[depth]
-        label = labels[node_id]
         bitsets = self.bitsets
         pool = masks[node_id]
-        for neighbor, edge_label, outgoing in adjacency[node_id]:
+        for neighbor, table, relation in links[node_id]:
             anchor = assignment.get(neighbor)
             if anchor is None:
                 continue
-            # outgoing=True means the query edge runs node_id → neighbor,
-            # so candidates must be predecessors of the anchor (and vice
-            # versa) — hence the flipped direction on the anchor's row.
-            pool &= bitsets.adjacency_row(anchor, edge_label, not outgoing, label)
+            row = table[anchor]
+            if row is None:
+                row = bitsets.row(anchor, *relation)
+            pool &= 1 << ~row if row < 0 else row
             work.intersections += 1
             if not pool:
                 return False
-        node_order = bitsets.order(label)
+        label = labels[node_id]
         for position in iter_bits(pool):
-            v = node_order[position]
-            if self.injective and v in assignment.values():
+            # Distinct labels never share a data node, so injectivity
+            # only compares positions within one label.
+            if self.injective and any(
+                taken == position and labels[other] == label
+                for other, taken in assignment.items()
+            ):
                 continue
-            assignment[node_id] = v
+            assignment[node_id] = position
             if self._extendable(
-                adjacency, masks, labels, order, assignment, depth + 1, work
+                links, masks, labels, order, assignment, depth + 1, work
             ):
                 del assignment[node_id]
                 return True
@@ -644,6 +743,25 @@ class BitsetEngine:
     # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
+
+    def _links(
+        self, instance: QueryInstance, labels: Dict[str, str]
+    ) -> Dict[str, List[Tuple[str, List[Optional[int]], Relation]]]:
+        """Per query node: ``(neighbor, row table, relation)`` per incident edge.
+
+        Rows are anchored at the already-assigned neighbor: ``outgoing=True``
+        means the query edge runs node → neighbor, so the node's candidates
+        are *predecessors* of the neighbor's image — hence the flipped
+        direction.
+        """
+        bitsets = self.bitsets
+        links = {}
+        for node_id, incident in instance.adjacency().items():
+            links[node_id] = []
+            for neighbor, edge_label, outgoing in incident:
+                relation = (labels[neighbor], edge_label, not outgoing, labels[node_id])
+                links[node_id].append((neighbor, bitsets.relation(*relation), relation))
+        return links
 
     def _search_order(
         self, instance: QueryInstance, masks: MaskMap, root: str
@@ -663,21 +781,6 @@ class BitsetEngine:
             order.append(best)
             visited.add(best)
         return order
-
-    @staticmethod
-    def _is_acyclic(instance: QueryInstance) -> bool:
-        from repro.matching.matcher import SubgraphMatcher
-
-        return SubgraphMatcher._is_acyclic(instance)
-
-    def _materialize(
-        self, masks: MaskMap, labels: Dict[str, str]
-    ) -> Dict[str, Set[int]]:
-        """Mask map → plain candidate sets (the public MatchResult view)."""
-        return {
-            node_id: self.bitsets.to_ids(labels[node_id], mask)
-            for node_id, mask in masks.items()
-        }
 
     def _publish(self, work: _Work) -> None:
         if work.intersections:

@@ -1,11 +1,14 @@
 """Columnar matching engine: vectorized arc consistency over CSR slices.
 
-:class:`ColumnarEngine` is the third ``SubgraphMatcher`` engine
-(``matcher_engine = "columnar"``): it keeps the bitset engine's whole
-pipeline — mask-based pools, hierarchical literal caching, backtracking
-over adjacency rows — but enables the graph's
+:class:`ColumnarEngine` keeps the bitset engine's whole pipeline —
+mask-based pools, hierarchical literal caching, backtracking over
+adjacency rows — but runs over the graph's
 :class:`~repro.graph.columnar.ColumnarStore` and replaces the AC-3
-propagation inner loop.
+propagation inner loop. :class:`~repro.matching.matcher.SubgraphMatcher`
+selects it only when its indexes carry a columnar store
+(``GraphIndexes(columnar=True)`` or
+:meth:`~repro.graph.indexes.GraphIndexes.enable_columnar`, e.g. through
+``GraphContext(columnar=True)``); no configuration field picks it.
 
 Where the bitset engine walks every candidate of a query node and probes
 one adjacency-row mask per constraint (Python-loop bound on large
@@ -15,11 +18,12 @@ hits per CSR row with a cumulative sum, and pack the ``count > 0`` rows
 back into a mask. Survivors are then ``pool AND support_1 AND ... AND
 support_k`` — exactly the set the per-candidate loop accepts, at
 O(|V| + |E_label|) per (node, constraint) instead of O(candidates ×
-constraints) row probes.
+constraints) row probes. That cost does not shrink with the pools, so on
+small restricted pools (streaming re-verification) the row probes win.
 
 Queue semantics, removal counts and the produced masks are identical to
 the bitset engine (the engine-differential suite pins this), so archives
-are byte-identical across all three engines. Without numpy the class
+are byte-identical with or without the store. Without numpy the class
 transparently degrades to the inherited scalar propagation
 (``matcher.columnar.fallback_propagations`` counts how often).
 """

@@ -3,7 +3,7 @@
 When RfQGen spawns a child ``q'`` that refines a verified parent ``q`` at a
 single variable, Lemma 2 guarantees ``q'``'s per-node match sets are subsets
 of ``q``'s. The verifier therefore seeds the child's candidate pools with
-the parent's AC-pruned candidate map instead of the full label pools, which
+the parent's AC-pruned candidate masks instead of the full label pools, which
 is where the refinement-based algorithms gain over naive enumeration.
 
 Results are memoized per instantiation so the lattice explorations never
@@ -115,21 +115,13 @@ class IncrementalVerifier:
             metrics.inc("evaluator.cache_hits")
             return cached
 
-        restrict = None
         restrict_masks = None
         if self.use_incremental and parent is not None:
             parent_result = self._cache.get(parent.instantiation.key)
-            if parent_result is not None and parent_result.candidates:
-                # Bitset-engine parents carry their candidate masks; seeding
-                # from those skips the per-node set→mask conversion.
-                if parent_result.candidate_masks is not None:
-                    restrict_masks = parent_result.candidate_masks
-                else:
-                    restrict = parent_result.candidates
+            if parent_result is not None and parent_result.candidate_masks:
+                restrict_masks = parent_result.candidate_masks
                 metrics.inc("evaluator.incremental")
-        result = self.matcher.match(
-            instance, restrict=restrict, restrict_masks=restrict_masks
-        )
+        result = self.matcher.match(instance, restrict_masks=restrict_masks)
         self._cache[key] = result
         metrics.inc("evaluator.cache_misses")
         if self.max_entries is not None and len(self._cache) > self.max_entries:

@@ -1,65 +1,45 @@
-"""Backtracking subgraph matcher.
+"""Subgraph matcher: the one entry point to instance verification.
 
 After candidate pruning, the matcher decides for each surviving candidate
 ``v`` of the output node whether a full matching ``h`` with ``h(u_o) = v``
 exists. On acyclic instances arc consistency is already exact so the
 backtracking step degenerates to a constant-time confirmation; on cyclic
 instances it resolves the residual joins.
+
+The pipeline itself is the mask engine of :mod:`repro.matching.bitset`;
+when the indexes carry a columnar store (``GraphIndexes(columnar=True)``
+or :meth:`~repro.graph.indexes.GraphIndexes.enable_columnar`) its
+propagation runs as vectorized CSR support sweeps instead
+(:class:`~repro.matching.columnar_engine.ColumnarEngine`). Both produce
+identical matches and candidate masks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Set
 
 from repro.errors import MatchingError
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.indexes import GraphIndexes
-from repro.matching.candidates import CandidateMap, initial_candidates, propagate
+from repro.matching.bitset import BitsetEngine, MatchResult
 from repro.obs.registry import MetricsRegistry
 from repro.query.instance import QueryInstance
 from repro.runtime.budget import NULL_GUARD, ExecutionGuard
 
-
-@dataclass
-class MatchResult:
-    """Outcome of verifying one query instance against the graph.
-
-    Attributes:
-        matches: ``q(G)`` — the exact match set of the output node.
-        candidates: AC-pruned per-node candidate sets (supersets of the
-            exact per-node match sets; exact on acyclic instances). These
-            seed the incremental verification of refined children.
-        backtrack_calls: Number of recursive extension calls performed
-            (work counter for the efficiency experiments).
-        pruned_candidates: Candidates removed by arc consistency.
-        candidate_masks: The same candidate map as per-label bitmasks,
-            present only when the bitset engine produced the result —
-            children seeded from this result skip the set→mask round trip.
-    """
-
-    matches: FrozenSet[int]
-    candidates: CandidateMap
-    backtrack_calls: int = 0
-    pruned_candidates: int = 0
-    candidate_masks: Optional[Dict[str, int]] = None
-
-    @property
-    def cardinality(self) -> int:
-        """``|q(G)|``."""
-        return len(self.matches)
+__all__ = ["MatchResult", "SubgraphMatcher"]
 
 
 class SubgraphMatcher:
     """Evaluates query instances over one attributed graph.
 
     The matcher is stateless across calls except for the shared
-    :class:`~repro.graph.indexes.GraphIndexes`, so a single instance is
-    reused for a whole generation run.
+    :class:`~repro.graph.indexes.GraphIndexes` and its engine's literal
+    cache, so a single instance is reused for a whole generation run.
 
     Args:
         graph: The data graph.
-        indexes: Optional pre-built indexes (built lazily otherwise).
+        indexes: Optional pre-built indexes (built lazily otherwise). When
+            they carry a columnar store the columnar engine verifies.
         injective: If True, require distinct query nodes to map to
             distinct data nodes (subgraph-isomorphism semantics). The
             paper's definition is the non-injective one; the switch exists
@@ -67,26 +47,17 @@ class SubgraphMatcher:
         metrics: Registry receiving the ``matcher.*`` work counters
             (a private one is created when omitted). Instrumentation
             never affects match results.
-        engine: ``"set"`` (the original per-instance set pipeline),
-            ``"bitset"`` (:class:`~repro.matching.bitset.BitsetEngine`,
-            mask pools + run-level literal-pool caching) or ``"columnar"``
-            (:class:`~repro.matching.columnar_engine.ColumnarEngine`,
-            the bitset pipeline over the graph's columnar core with
-            vectorized propagation). All produce identical matches and
-            candidate maps.
         guard: The run's :class:`~repro.runtime.budget.ExecutionGuard`,
             probed at the backtracking-sweep loop heads so a
             ``max_backtracks`` or deadline budget can stop matching
             mid-sweep. Defaults to the inert guard.
         shared_literal_pools: Optional workload-scoped
             :class:`~repro.matching.bitset.WorkloadLiteralPools` backing
-            the bitset engine's literal cache across runs (the serving
-            layer's tier-2 cache; ignored by the set engine).
-        literal_pool_max_entries: Optional LRU bound on the bitset
-            engine's local literal cache (None = unbounded).
+            the engine's literal cache across runs (the serving layer's
+            tier-2 cache).
+        literal_pool_max_entries: Optional LRU bound on the engine's
+            local literal cache (None = unbounded).
     """
-
-    ENGINES = ("set", "bitset", "columnar")
 
     def __init__(
         self,
@@ -94,50 +65,26 @@ class SubgraphMatcher:
         indexes: Optional[GraphIndexes] = None,
         injective: bool = False,
         metrics: Optional[MetricsRegistry] = None,
-        engine: str = "set",
         guard: Optional[ExecutionGuard] = None,
         shared_literal_pools=None,
         literal_pool_max_entries: Optional[int] = None,
     ) -> None:
-        if engine not in self.ENGINES:
-            raise MatchingError(
-                f"unknown matcher engine {engine!r} (expected one of {self.ENGINES})"
-            )
         self.graph = graph
         self.indexes = indexes or GraphIndexes(graph)
         self.injective = injective
         self.metrics = metrics or MetricsRegistry()
-        self.engine = engine
         self.guard = guard if guard is not None else NULL_GUARD
-        self._bitset = None
-        if engine in ("bitset", "columnar"):
-            if engine == "columnar":
-                from repro.matching.columnar_engine import ColumnarEngine as _Engine
-            else:
-                from repro.matching.bitset import BitsetEngine as _Engine
-
-            self._bitset = _Engine(
-                self.indexes,
-                injective=injective,
-                metrics=self.metrics,
-                guard=self.guard,
-                shared_literal_pools=shared_literal_pools,
-                literal_pool_max_entries=literal_pool_max_entries,
-            )
-        # Pre-register the headline counters so exports always carry them,
-        # even for runs that never hit the corresponding path.
-        for name in (
-            "matcher.match_calls",
-            "matcher.backtrack_calls",
-            "matcher.ac_removed",
-            "matcher.empty_pool_short_circuits",
-            "matcher.acyclic_fast_paths",
-        ):
-            self.metrics.counter(name)
-
-    # ------------------------------------------------------------------ #
-    # Public API
-    # ------------------------------------------------------------------ #
+        engine_cls = BitsetEngine
+        if self.indexes.columnar is not None:
+            from repro.matching.columnar_engine import ColumnarEngine as engine_cls
+        self.engine = engine_cls(
+            self.indexes,
+            injective=injective,
+            metrics=self.metrics,
+            guard=self.guard,
+            shared_literal_pools=shared_literal_pools,
+            literal_pool_max_entries=literal_pool_max_entries,
+        )
 
     def match(
         self,
@@ -146,78 +93,22 @@ class SubgraphMatcher:
         restrict_masks: Optional[Mapping[str, int]] = None,
         first_only: bool = False,
     ) -> MatchResult:
-        """Compute ``q(G)`` (and per-node candidate sets) for ``instance``.
+        """Compute ``q(G)`` (and per-node candidate masks) for ``instance``.
 
-        ``restrict`` bounds each query node's initial candidates — the
-        incremental-verification hook (see
+        ``restrict_masks`` bounds each query node's initial pool by a mask
+        — the incremental-verification hook, fed a verified parent's
+        :attr:`MatchResult.candidate_masks` (see
         :class:`~repro.matching.incremental.IncrementalVerifier`);
-        ``restrict_masks`` is its mask-native variant (bitset engine
-        results carry one). ``first_only`` stops after the first confirmed
-        output match — the ``exists()`` fast path; the returned ``matches``
-        is then a (possibly partial) witness set, candidates stay complete.
+        ``restrict`` bounds them by plain id sets. ``first_only`` stops
+        after the first confirmed output match — the ``exists()`` fast
+        path; the returned ``matches`` is then a (possibly partial)
+        witness set, candidates stay complete.
         """
-        if self._bitset is not None:
-            return self._bitset.match(
-                instance,
-                restrict=restrict,
-                restrict_masks=restrict_masks,
-                first_only=first_only,
-            )
-        if restrict is None and restrict_masks is not None:
-            bitsets = self.indexes.bitsets
-            restrict = {
-                node_id: bitsets.to_ids(instance.node_label(node_id), mask)
-                for node_id, mask in restrict_masks.items()
-                if node_id in instance.active_nodes
-            }
-        metrics = self.metrics
-        metrics.inc("matcher.match_calls")
-        candidates = initial_candidates(self.indexes, instance, restrict)
-        metrics.observe(
-            "matcher.initial_pool_size",
-            sum(len(pool) for pool in candidates.values()),
-        )
-        if any(not pool for pool in candidates.values()):
-            metrics.inc("matcher.empty_pool_short_circuits")
-            return MatchResult(frozenset(), {k: set() for k in candidates})
-        candidates, pruned = propagate(self.graph, instance, candidates)
-        metrics.inc("matcher.ac_removed", pruned)
-        output = instance.output_node
-        metrics.observe("matcher.output_pool_size", len(candidates[output]))
-        if not candidates[output]:
-            metrics.inc("matcher.empty_pool_short_circuits")
-            return MatchResult(frozenset(), candidates, pruned_candidates=pruned)
-
-        order = self._search_order(instance, candidates)
-        adjacency = instance.adjacency()
-        counter = _CallCounter()
-        matches: Set[int] = set()
-        if len(instance.active_nodes) == 1:
-            # Single-node query: candidates are exactly the matches.
-            matches = set(candidates[output])
-            metrics.inc("matcher.acyclic_fast_paths")
-        elif self._is_acyclic(instance) and not self.injective:
-            # Arc consistency is exact for homomorphisms on acyclic queries.
-            matches = set(candidates[output])
-            metrics.inc("matcher.acyclic_fast_paths")
-        else:
-            guard = self.guard
-            for v in candidates[output]:
-                # Loop-head budget probe. The per-call tally is not yet in
-                # the registry, so it rides along as extra work.
-                guard.checkpoint(extra_backtracks=counter.calls)
-                if self._extendable(
-                    instance, adjacency, candidates, order, {output: v}, 1, counter
-                ):
-                    matches.add(v)
-                    if first_only:
-                        break
-            metrics.inc("matcher.backtrack_calls", counter.calls)
-        return MatchResult(
-            frozenset(matches),
-            candidates,
-            backtrack_calls=counter.calls,
-            pruned_candidates=pruned,
+        return self.engine.match(
+            instance,
+            restrict=restrict,
+            restrict_masks=restrict_masks,
+            first_only=first_only,
         )
 
     def exists(self, instance: QueryInstance) -> bool:
@@ -233,22 +124,16 @@ class SubgraphMatcher:
     def repair_literal_pools(self, pairs, touched_nodes=None) -> int:
         """Repair engine-local literal masks over touched (label, attribute) pairs.
 
-        Streaming repair hook: the set engine keeps no literal state (it
-        reads the — already repaired — attribute index per call) so this
-        is a no-op there; the bitset engine forwards to its
+        Streaming repair hook forwarding to the engine's
         :class:`~repro.matching.bitset.LiteralPoolCache`. With
         ``touched_nodes`` the stale masks are repaired bit-by-bit (only
         the touched nodes' predicate outcomes can have changed); without,
         they are dropped and recomputed lazily. Returns the number of
         masks repaired or dropped.
         """
-        if self._bitset is None:
-            return 0
         if touched_nodes is not None:
-            return self._bitset.literal_pools.repair_attributes(
-                touched_nodes, pairs
-            )
-        return self._bitset.literal_pools.invalidate_attributes(pairs)
+            return self.engine.literal_pools.repair_attributes(touched_nodes, pairs)
+        return self.engine.literal_pools.invalidate_attributes(pairs)
 
     def match_outputs(
         self,
@@ -266,183 +151,4 @@ class SubgraphMatcher:
         for output in outputs:
             if output not in instance.active_nodes:
                 raise MatchingError(f"output node {output!r} not active in instance")
-        if self._bitset is not None:
-            return self._bitset.match_outputs(instance, outputs, restrict=restrict)
-        self.metrics.inc("matcher.match_outputs_calls")
-        candidates = initial_candidates(self.indexes, instance, restrict)
-        if any(not pool for pool in candidates.values()):
-            self.metrics.inc("matcher.empty_pool_short_circuits")
-            return {output: frozenset() for output in outputs}
-        candidates, removed = propagate(self.graph, instance, candidates)
-        self.metrics.inc("matcher.ac_removed", removed)
-        if (
-            len(instance.active_nodes) == 1
-            or (self._is_acyclic(instance) and not self.injective)
-        ):
-            return {output: frozenset(candidates[output]) for output in outputs}
-
-        adjacency = instance.adjacency()
-        results: Dict[str, FrozenSet[int]] = {}
-        counter = _CallCounter()
-        for output in outputs:
-            order = self._search_order_from(instance, candidates, output)
-            matched: Set[int] = set()
-            for v in candidates[output]:
-                self.guard.checkpoint(extra_backtracks=counter.calls)
-                if self._extendable(
-                    instance, adjacency, candidates, order, {output: v}, 1, counter
-                ):
-                    matched.add(v)
-            results[output] = frozenset(matched)
-        self.metrics.inc("matcher.backtrack_calls", counter.calls)
-        return results
-
-    def _search_order_from(
-        self, instance: QueryInstance, candidates: CandidateMap, root: str
-    ) -> List[str]:
-        """Connected fail-first order rooted at an arbitrary query node."""
-        adjacency = instance.adjacency()
-        order = [root]
-        visited = {root}
-        while len(order) < len(instance.active_nodes):
-            frontier = {
-                neighbor
-                for node in visited
-                for neighbor, _, _ in adjacency[node]
-                if neighbor not in visited
-            }
-            best = min(frontier, key=lambda n: (len(candidates[n]), n))
-            order.append(best)
-            visited.add(best)
-        return order
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def _is_acyclic(instance: QueryInstance) -> bool:
-        """Undirected acyclicity test: |E| = |V| - 1 on a connected query.
-
-        Parallel edges between the same node pair (different labels or
-        directions) count as a cycle for safety.
-        """
-        pairs = set()
-        for source, target, _ in instance.edges:
-            pair = (source, target) if source <= target else (target, source)
-            if pair in pairs:
-                return False
-            pairs.add(pair)
-        return len(pairs) == len(instance.active_nodes) - 1
-
-    def _search_order(
-        self, instance: QueryInstance, candidates: CandidateMap
-    ) -> List[str]:
-        """Connected search order starting at the output node.
-
-        Greedy: always extend with the unvisited neighbor having the
-        smallest candidate set (fail-first).
-        """
-        adjacency = instance.adjacency()
-        order = [instance.output_node]
-        visited = {instance.output_node}
-        while len(order) < len(instance.active_nodes):
-            frontier = {
-                neighbor
-                for node in visited
-                for neighbor, _, _ in adjacency[node]
-                if neighbor not in visited
-            }
-            best = min(frontier, key=lambda n: (len(candidates[n]), n))
-            order.append(best)
-            visited.add(best)
-        return order
-
-    def _extendable(
-        self,
-        instance: QueryInstance,
-        adjacency: Dict[str, List[Tuple[str, str, bool]]],
-        candidates: CandidateMap,
-        order: List[str],
-        assignment: Dict[str, int],
-        depth: int,
-        counter: "_CallCounter",
-    ) -> bool:
-        """Depth-first existence check extending ``assignment`` along ``order``."""
-        counter.calls += 1
-        if depth == len(order):
-            return True
-        node_id = order[depth]
-        for v in self._extension_candidates(node_id, adjacency, candidates, assignment):
-            if self.injective and v in assignment.values():
-                continue
-            if not self._consistent(node_id, v, adjacency, assignment):
-                continue
-            assignment[node_id] = v
-            if self._extendable(
-                instance, adjacency, candidates, order, assignment, depth + 1, counter
-            ):
-                del assignment[node_id]
-                return True
-            del assignment[node_id]
-        return False
-
-    def _extension_candidates(
-        self,
-        node_id: str,
-        adjacency: Dict[str, List[Tuple[str, str, bool]]],
-        candidates: CandidateMap,
-        assignment: Dict[str, int],
-    ):
-        """Candidates of ``node_id`` reachable from an already-assigned neighbor.
-
-        The search order guarantees at least one assigned neighbor, so the
-        candidate pool is intersected with that neighbor's adjacency — far
-        smaller than the full candidate set on dense graphs.
-        """
-        pool = candidates[node_id]
-        best_set: Optional[Set[int]] = None
-        for neighbor, label, outgoing in adjacency[node_id]:
-            if neighbor in assignment:
-                anchor = assignment[neighbor]
-                # Edge direction is stored from node_id's perspective:
-                # outgoing=True means (node_id -> neighbor).
-                reach = (
-                    self.graph.predecessors(anchor, label)
-                    if outgoing
-                    else self.graph.successors(anchor, label)
-                )
-                if best_set is None or len(reach) < len(best_set):
-                    best_set = reach
-        if best_set is None:  # pragma: no cover - order guarantees an anchor
-            return list(pool)
-        return [v for v in best_set if v in pool]
-
-    def _consistent(
-        self,
-        node_id: str,
-        v: int,
-        adjacency: Dict[str, List[Tuple[str, str, bool]]],
-        assignment: Dict[str, int],
-    ) -> bool:
-        """Check all edges between ``node_id`` and already-assigned nodes."""
-        for neighbor, label, outgoing in adjacency[node_id]:
-            if neighbor not in assignment:
-                continue
-            other = assignment[neighbor]
-            if outgoing:
-                if not self.graph.has_edge(v, other, label):
-                    return False
-            else:
-                if not self.graph.has_edge(other, v, label):
-                    return False
-        return True
-
-
-class _CallCounter:
-    """Mutable counter passed through the recursion (avoids nonlocal noise)."""
-
-    __slots__ = ("calls",)
-
-    def __init__(self) -> None:
-        self.calls = 0
+        return self.engine.match_outputs(instance, outputs, restrict=restrict)

@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.indexes import GraphIndexes
-from repro.matching.candidates import initial_candidates, propagate
+from repro.matching.bitset import _Work
 from repro.matching.matcher import SubgraphMatcher
 from repro.query.instance import QueryInstance
 
@@ -82,13 +82,13 @@ def profile_instance(
     a prebuilt :class:`GraphIndexes` instead of rebuilding the (graph-
     sized) label and attribute indexes on every call.
     """
-    indexes = indexes or GraphIndexes(graph)
-    after_literals = initial_candidates(indexes, instance, None)
-    counts_literals = {node: len(pool) for node, pool in after_literals.items()}
-    propagated, removed = propagate(graph, instance, after_literals)
-    counts_ac = {node: len(pool) for node, pool in propagated.items()}
-
-    result = SubgraphMatcher(graph, indexes).match(instance)
+    matcher = SubgraphMatcher(graph, indexes or GraphIndexes(graph))
+    after_literals, _ = matcher.engine._initial_masks(instance, None, None, _Work())
+    counts_literals = {node: mask.bit_count() for node, mask in after_literals.items()}
+    result = matcher.match(instance)
+    counts_ac = {
+        node: mask.bit_count() for node, mask in result.candidate_masks.items()
+    }
 
     funnels = []
     for node_id in sorted(instance.active_nodes):
@@ -106,6 +106,6 @@ def profile_instance(
     return InstanceProfile(
         funnels=tuple(funnels),
         matches=result.cardinality,
-        ac_removed=removed,
+        ac_removed=result.pruned_candidates,
         backtrack_calls=result.backtrack_calls,
     )

@@ -52,9 +52,10 @@ class GraphContext:
             (:class:`~repro.graph.columnar.ColumnarStore`) on the shared
             indexes at build time — CSR adjacency and compiled literal
             masks are then shared by every request, and with ``warm=True``
-            the CSRs pre-build too. Results are identical either way;
-            requests using ``matcher_engine="columnar"`` enable it on
-            demand regardless.
+            the CSRs pre-build too, and every matcher built over the
+            shared indexes verifies with the columnar engine
+            (:class:`~repro.matching.columnar_engine.ColumnarEngine`).
+            Results are identical either way.
 
     Example:
         >>> context = GraphContext(graph)                   # doctest: +SKIP

@@ -243,8 +243,6 @@ class ServingDaemon:
         workers: Replicated :class:`GraphContext` count — each worker
             owns its own indexes, literal pools and metrics registry, so
             concurrent attempts never share mutable cache state.
-        engine: Default matching engine (per-request ``options`` may
-            override).
         defaults: Further per-request config defaults, same whitelist as
             request options.
         queue_depth: Per-tenant admission queue bound; offers beyond it
@@ -271,7 +269,6 @@ class ServingDaemon:
         groups: GroupSystem,
         *,
         workers: int = 2,
-        engine: str = "set",
         defaults: Optional[Dict[str, object]] = None,
         queue_depth: int = 64,
         max_retries: int = 2,
@@ -288,7 +285,6 @@ class ServingDaemon:
         if max_retries < 0:
             raise ServiceError("max_retries must be non-negative")
         defaults = dict(defaults or {})
-        defaults.setdefault("matcher_engine", engine)
         unknown = set(defaults) - ALLOWED_OPTIONS
         if unknown:
             raise ServiceError(

@@ -46,7 +46,6 @@ ALLOWED_OPTIONS = frozenset(
         "use_incremental",
         "use_template_refinement",
         "injective",
-        "matcher_engine",
         "verifier_max_entries",
         "literal_pool_max_entries",
     }

@@ -125,8 +125,8 @@ class BatchScheduler:
         context: The shared graph context (owns indexes, pools, metrics).
         groups: The groups/constraints every request is generated under.
         defaults: Config overrides applied to every request unless the
-            request sets them itself (e.g. ``{"matcher_engine": "bitset"}``
-            from the CLI's ``--engine``). Restricted to the same
+            request sets them itself (e.g. ``{"max_domain_values": 4}``
+            from the CLI's ``--domain-cap``). Restricted to the same
             whitelist as request options.
     """
 

@@ -15,7 +15,7 @@ selection/audit/explanation); this module wires the two common paths:
 * :class:`BatchSession` — one graph, many templates, served through the
   shared cache hierarchy (:mod:`repro.service`):
 
-    >>> batch = BatchSession(graph, groups, engine="bitset")  # doctest: +SKIP
+    >>> batch = BatchSession(graph, groups)                   # doctest: +SKIP
     >>> outcomes = batch.run([batch.request(t, epsilon=0.1) for t in templates])
     ...                                                       # doctest: +SKIP
     >>> batch.literal_pool_hit_rate                           # doctest: +SKIP
@@ -164,8 +164,6 @@ class BatchSession:
     Args:
         graph: The data graph to serve.
         groups: Groups/constraints every request is generated under.
-        engine: Default matching engine for requests (``"set"`` /
-            ``"bitset"``; the literal-pool tiers only apply to bitset).
         metrics: Registry for ``service.*`` counters (private if omitted).
         warm: Pre-build per-label index state at construction.
         workload_pool_max_entries: LRU bound of the workload literal-pool
@@ -178,7 +176,6 @@ class BatchSession:
         self,
         graph: AttributedGraph,
         groups: GroupSystem,
-        engine: str = "set",
         metrics: Optional[MetricsRegistry] = None,
         warm: bool = True,
         workload_pool_max_entries: Optional[int] = 4096,
@@ -190,7 +187,6 @@ class BatchSession:
             workload_pool_max_entries=workload_pool_max_entries,
             warm=warm,
         )
-        defaults.setdefault("matcher_engine", engine)
         self.scheduler = BatchScheduler(self.context, groups, defaults=defaults)
         self._request_counter = 0
 
@@ -201,7 +197,7 @@ class BatchSession:
 
     @property
     def literal_pool_hit_rate(self) -> float:
-        """Lifetime workload literal-pool hit rate (bitset engine only)."""
+        """Lifetime workload literal-pool hit rate."""
         return self.context.literal_pools.hit_rate
 
     def request(
@@ -229,7 +225,7 @@ class BatchSession:
     def session(self, template: QueryTemplate, **config_options) -> FairSQGSession:
         """A single-template :class:`FairSQGSession` sharing this cache.
 
-        The batch defaults (engine choice etc.) apply here too, so the
+        The batch defaults (domain cap etc.) apply here too, so the
         session is configured exactly like a request for ``template``;
         ``config_options`` override them.
         """
@@ -263,7 +259,6 @@ class DaemonSession:
         graph: The data graph to serve.
         groups: Groups/constraints every request is generated under.
         workers: Replicated worker-context count.
-        engine: Default matching engine for requests.
         metrics: Registry for ``service.daemon.*`` / ``service.admission.*``
             counters (private if omitted).
         queue_depth / max_retries / attempt_timeout / warm / columnar /
@@ -278,7 +273,6 @@ class DaemonSession:
         graph: AttributedGraph,
         groups: GroupSystem,
         workers: int = 2,
-        engine: str = "set",
         metrics: Optional[MetricsRegistry] = None,
         queue_depth: int = 64,
         max_retries: int = 2,
@@ -293,7 +287,6 @@ class DaemonSession:
             graph,
             groups,
             workers=workers,
-            engine=engine,
             defaults=defaults,
             queue_depth=queue_depth,
             max_retries=max_retries,

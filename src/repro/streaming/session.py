@@ -167,7 +167,7 @@ class StreamingSession:
             arm).
         **options: Forwarded to
             :class:`~repro.core.config.GenerationConfig` (``epsilon``,
-            ``matcher_engine``, ``use_delta_scoring``, …).
+            ``max_domain_values``, ``use_delta_scoring``, …).
 
     Raises:
         ConfigurationError: For a custom relevance scorer — relevance is

@@ -8,7 +8,7 @@ workload is one call away from being served:
     >>> requests = requests_from_templates(                 # doctest: +SKIP
     ...     TemplateGenerator(schema, seed=1).generate_many(spec, 8),
     ...     epsilon=0.1)
-    >>> BatchSession(graph, groups, engine="bitset").run(requests)
+    >>> BatchSession(graph, groups).run(requests)
     ...                                                     # doctest: +SKIP
 """
 

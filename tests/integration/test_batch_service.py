@@ -4,15 +4,13 @@ The serving contract: shared cache tiers (indexes + workload literal
 pools) change *cost only*, never results. Each test runs a workload
 through :class:`repro.session.BatchSession` and compares every outcome
 element-wise against an independent standalone run of the same
-configuration — for both matching engines — plus invalidation behaviour
+configuration — with and without a columnar store — plus invalidation behaviour
 after graph mutations and a CLI smoke.
 """
 
 from __future__ import annotations
 
 import json
-
-import pytest
 
 from repro.core.config import GenerationConfig
 from repro.datasets.lki import LKI_SCHEMA
@@ -37,7 +35,7 @@ def _front(result):
     ]
 
 
-def _standalone(bundle, request, engine):
+def _standalone(bundle, request):
     """Run one request exactly as a fresh, shares-nothing session would."""
     config = GenerationConfig(
         bundle.graph,
@@ -45,7 +43,6 @@ def _standalone(bundle, request, engine):
         bundle.groups,
         epsilon=request.epsilon,
         budget=request.budget(),
-        matcher_engine=engine,
         max_domain_values=4,
     )
     return ALGORITHMS[request.algorithm](config).run()
@@ -67,40 +64,35 @@ def _workload(bundle, k=4):
 
 
 class TestBatchMatchesStandalone:
-    @pytest.mark.parametrize("engine", ["set", "bitset"])
-    def test_batch_identical_to_sequential_runs(self, small_lki_bundle, engine):
+    def test_batch_identical_to_sequential_runs(self, small_lki_bundle):
         bundle = small_lki_bundle
         requests = _workload(bundle)
-        batch = BatchSession(
-            bundle.graph, bundle.groups, engine=engine, max_domain_values=4
-        )
+        batch = BatchSession(bundle.graph, bundle.groups, max_domain_values=4)
         outcomes = batch.run(requests)
         assert len(outcomes) == len(requests)
         for outcome in outcomes:
             assert outcome.ok, outcome.error
-            expected = _standalone(bundle, outcome.request, engine)
+            expected = _standalone(bundle, outcome.request)
             assert _front(outcome.result) == _front(expected)
             assert outcome.result.epsilon == expected.epsilon
 
     def test_engines_agree_through_the_service(self, small_lki_bundle):
+        """The columnar engine, engaged by a store on the shared indexes,
+        serves the same fronts as the bitset engine."""
         bundle = small_lki_bundle
         requests = _workload(bundle)
-        fronts = {}
-        for engine in ("set", "bitset"):
-            batch = BatchSession(
-                bundle.graph, bundle.groups, engine=engine, max_domain_values=4
-            )
-            fronts[engine] = [
-                _front(o.result) for o in batch.run(requests)
-            ]
-        assert fronts["set"] == fronts["bitset"]
+        fronts = []
+        for columnar in (False, True):
+            batch = BatchSession(bundle.graph, bundle.groups, max_domain_values=4)
+            if columnar:
+                batch.context.indexes.enable_columnar()
+            fronts.append([_front(o.result) for o in batch.run(requests)])
+        assert fronts[0] == fronts[1]
 
     def test_warm_reuse_hits_workload_pools(self, small_lki_bundle):
         bundle = small_lki_bundle
         requests = _workload(bundle)
-        batch = BatchSession(
-            bundle.graph, bundle.groups, engine="bitset", max_domain_values=4
-        )
+        batch = BatchSession(bundle.graph, bundle.groups, max_domain_values=4)
         batch.run(requests)
         first_rate = batch.literal_pool_hit_rate
         batch.run(requests)  # second pass over the same workload
@@ -111,9 +103,7 @@ class TestBatchMatchesStandalone:
 class TestDeduplication:
     def test_identical_requests_replay_shared_result(self, small_lki_bundle):
         bundle = small_lki_bundle
-        batch = BatchSession(
-            bundle.graph, bundle.groups, engine="bitset", max_domain_values=4
-        )
+        batch = BatchSession(bundle.graph, bundle.groups, max_domain_values=4)
         twins = [
             batch.request(bundle.template, epsilon=0.1, client="a"),
             batch.request(bundle.template, epsilon=0.1, client="b"),
@@ -130,9 +120,7 @@ class TestDeduplication:
 class TestInvalidation:
     def test_results_track_graph_mutations(self, small_lki_bundle):
         bundle = small_lki_bundle
-        batch = BatchSession(
-            bundle.graph, bundle.groups, engine="bitset", max_domain_values=4
-        )
+        batch = BatchSession(bundle.graph, bundle.groups, max_domain_values=4)
         request = batch.request(bundle.template, epsilon=0.1)
         before = batch.run([request])[0]
         assert before.ok
@@ -153,7 +141,6 @@ class TestInvalidation:
                 bundle.template,
                 bundle.groups,
                 epsilon=0.1,
-                matcher_engine="bitset",
                 max_domain_values=4,
             )
         ).run()
@@ -161,9 +148,7 @@ class TestInvalidation:
 
     def test_stale_dedup_cannot_cross_invalidation(self, small_lki_bundle):
         bundle = small_lki_bundle
-        batch = BatchSession(
-            bundle.graph, bundle.groups, engine="bitset", max_domain_values=4
-        )
+        batch = BatchSession(bundle.graph, bundle.groups, max_domain_values=4)
         batch.run([batch.request(bundle.template, epsilon=0.1)])
         edge = next(iter(bundle.graph.edges()))
         batch.apply_delta(GraphDelta(delete_edges=(edge.key,)))
@@ -176,9 +161,7 @@ class TestInvalidation:
 class TestSessionSharing:
     def test_single_sessions_share_context(self, small_lki_bundle):
         bundle = small_lki_bundle
-        batch = BatchSession(
-            bundle.graph, bundle.groups, engine="bitset", max_domain_values=4
-        )
+        batch = BatchSession(bundle.graph, bundle.groups, max_domain_values=4)
         session = batch.session(bundle.template, epsilon=0.1)
         assert session.config.shared_indexes is batch.context.indexes
         result = session.suggest()
@@ -188,7 +171,6 @@ class TestSessionSharing:
                 bundle.template,
                 bundle.groups,
                 epsilon=0.1,
-                matcher_engine="bitset",
                 max_domain_values=4,
             )
         ).run()

@@ -3,8 +3,9 @@
 The columnar core replaces *representations* — CSR slices for adjacency
 dicts, compiled column masks for attribute-table scans, interned codes
 for raw values — never semantics. These tests run the full generators,
-the delta-scoring engine and the serving context with the columnar
-engine (and with a store enabled under the default engines) and compare
+the delta-scoring engine and the serving context over store-carrying
+indexes (which select the columnar engine, or — for a store enabled
+after the matcher was built — back the bitset engine) and compare
 archives exactly: instantiation keys, match sets and the float δ/f
 coordinates with ``==``.
 """
@@ -17,7 +18,7 @@ import pytest
 
 from repro import CBM, BiQGen, EnumQGen, GenerationConfig, Kungs, RfQGen
 from repro.graph.indexes import GraphIndexes
-from repro.matching.matcher import SubgraphMatcher
+from repro.matching import BitsetEngine
 from repro.obs import MetricsRegistry
 from repro.service.context import GraphContext
 
@@ -33,33 +34,37 @@ def _fingerprint(result):
     ]
 
 
+def _with_store(config, **overrides):
+    """``config`` over fresh store-carrying indexes (the columnar engine)."""
+    indexes = GraphIndexes(config.graph, columnar=True)
+    return replace(config, shared_indexes=indexes, **overrides)
+
+
 @pytest.mark.parametrize("algo_cls", ALGORITHMS)
 def test_columnar_engine_is_bit_identical(algo_cls, talent_config):
-    baseline = algo_cls(replace(talent_config, matcher_engine="set")).run()
-    columnar = algo_cls(replace(talent_config, matcher_engine="columnar")).run()
+    baseline = algo_cls(talent_config).run()
+    columnar = algo_cls(_with_store(talent_config)).run()
     assert _fingerprint(columnar) == _fingerprint(baseline)
     assert columnar.epsilon == baseline.epsilon
 
 
 @pytest.mark.parametrize("algo_cls", [RfQGen, BiQGen])
 def test_columnar_with_delta_scoring(algo_cls, talent_config):
-    baseline = algo_cls(replace(talent_config, matcher_engine="set")).run()
-    fast = algo_cls(
-        replace(
-            talent_config, matcher_engine="columnar", use_delta_scoring=True
-        )
-    ).run()
+    baseline = algo_cls(talent_config).run()
+    fast = algo_cls(_with_store(talent_config, use_delta_scoring=True)).run()
     assert _fingerprint(fast) == _fingerprint(baseline)
 
 
 def test_store_under_default_engine_is_inert(talent_config):
-    """Enabling the store on shared indexes must not change set-engine
-    results: the store only reroutes lookups, bit-for-bit."""
+    """A store enabled after the matcher was built leaves the bitset
+    engine in place; it only reroutes row and literal-mask lookups, so
+    results are unchanged bit-for-bit."""
     baseline = RfQGen(talent_config).run()
     indexes = GraphIndexes(talent_config.graph)
+    generator = RfQGen(replace(talent_config, shared_indexes=indexes))
+    assert type(generator.evaluator.matcher.engine) is BitsetEngine
     indexes.enable_columnar()
-    shared = replace(talent_config, shared_indexes=indexes)
-    with_store = RfQGen(shared).run()
+    with_store = generator.run()
     assert _fingerprint(with_store) == _fingerprint(baseline)
 
 
@@ -85,8 +90,7 @@ def test_columnar_engine_counters(talent_config):
     """The engine surfaces its own matcher counters plus the store's
     build/patch counters on the run registry."""
     registry = MetricsRegistry()
-    config = replace(talent_config, matcher_engine="columnar", metrics=registry)
-    RfQGen(config).run()
+    RfQGen(_with_store(talent_config, metrics=registry)).run()
     counters = registry.counters()
     assert counters["graph.columnar.builds"] == 1
     assert counters["graph.columnar.csr_builds"] >= 0
@@ -98,14 +102,9 @@ def test_default_runs_see_no_columnar_counters(talent_config):
     """Baseline safety: without opting in, no ``graph.columnar.*`` or
     ``matcher.columnar.*`` counter may appear in a run snapshot."""
     registry = MetricsRegistry()
-    config = replace(talent_config, matcher_engine="bitset", metrics=registry)
-    RfQGen(config).run()
+    RfQGen(replace(talent_config, metrics=registry)).run()
     leaked = [
         name for name in registry.counters() if "columnar" in name
     ]
     assert leaked == []
 
-
-def test_matcher_rejects_unknown_engine(talent_graph):
-    with pytest.raises(Exception):
-        SubgraphMatcher(talent_graph, engine="rowwise")

@@ -4,7 +4,8 @@ The daemon's correctness contract, pinned end-to-end:
 
 * **Differential** — for any fault-free workload, outcomes are
   byte-identical (modulo wall-clock fields) to the synchronous
-  :class:`~repro.session.BatchSession` path, for both matching engines.
+  :class:`~repro.session.BatchSession` path, columnar-store workers
+  included.
 * **Exactly-once under chaos** — with seeded CRASH/SLOW/ERROR faults
   injected mid-request, every submission still gets exactly one outcome,
   no queue entry is orphaned, and the returned ε-Pareto archives are
@@ -67,7 +68,6 @@ def by_id(outcomes):
 
 def make_daemon(bundle, **kwargs):
     kwargs.setdefault("workers", 2)
-    kwargs.setdefault("engine", "set")
     kwargs.setdefault("defaults", dict(OPTIONS))
     return ServingDaemon(bundle.graph, bundle.groups, **kwargs)
 
@@ -82,16 +82,16 @@ def serve(bundle, requests, **kwargs):
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("engine", ["set", "bitset"])
-    def test_daemon_identical_to_batch_session(self, small_lki_bundle, engine):
+    @pytest.mark.parametrize("columnar", [False, True], ids=["bitset", "columnar"])
+    def test_daemon_identical_to_batch_session(self, small_lki_bundle, columnar):
+        """Columnar-store workers (the columnar engine) included: the
+        daemon serves what a store-less batch session does."""
         bundle = small_lki_bundle
         requests = workload(bundle)
-        batch = BatchSession(
-            bundle.graph, bundle.groups, engine=engine, **OPTIONS
-        )
+        batch = BatchSession(bundle.graph, bundle.groups, **OPTIONS)
         sync_outcomes = batch.run(requests)
         _, daemon_outcomes = serve(
-            bundle, requests, engine=engine, workers=3
+            bundle, requests, columnar=columnar, workers=3
         )
         assert len(daemon_outcomes) == len(requests)
         # Daemon outcomes come back in submission order.

@@ -5,8 +5,9 @@ included):
 
 * **legacy equivalence** — running any generator with the paper's
   disjoint groups wrapped in a plain :class:`GroupSystem` produces the
-  same archive, byte for byte, as the legacy :class:`GroupSet`, across
-  matcher engines and the delta-scoring knob;
+  same archive, byte for byte, as the legacy :class:`GroupSet`, with and
+  without a columnar store (bitset vs columnar matcher engine) and across
+  the delta-scoring knob;
 * **delta neutrality on overlap** — for genuinely overlapping systems
   (where a node moves several counters at once) delta scoring still
   changes only the work, never the results;
@@ -23,6 +24,7 @@ import pytest
 
 from repro import BiQGen, EnumQGen, GenerationConfig, RfQGen, StreamingSession
 from repro.graph.builder import GraphBuilder
+from repro.graph.indexes import GraphIndexes
 from repro.groups import (
     GroupRule,
     GroupSet,
@@ -35,6 +37,13 @@ from repro.matching.delta import GraphDelta
 from repro.workload.scenarios import ScenarioGenerator
 
 ALGORITHMS = [EnumQGen, RfQGen, BiQGen]
+
+#: Columnar-store axis, named after the matcher engine it selects.
+STORE = pytest.mark.parametrize("columnar", [False, True], ids=["bitset", "columnar"])
+
+
+def _indexes(config, columnar):
+    return GraphIndexes(config.graph, columnar=columnar)
 
 
 def _fingerprint(result):
@@ -62,12 +71,14 @@ def overlapping_groups(graph):
 
 
 @pytest.mark.parametrize("algo_cls", ALGORITHMS)
-@pytest.mark.parametrize("engine", ["set", "bitset", "columnar"])
+@STORE
 @pytest.mark.parametrize("delta", [False, True])
-def test_disjoint_system_equals_group_set(algo_cls, engine, delta, talent_config):
+def test_disjoint_system_equals_group_set(algo_cls, columnar, delta, talent_config):
     """The tentpole contract: GroupSystem(disjoint) ≡ GroupSet, bitwise."""
     legacy_config = replace(
-        talent_config, matcher_engine=engine, use_delta_scoring=delta
+        talent_config,
+        shared_indexes=_indexes(talent_config, columnar),
+        use_delta_scoring=delta,
     )
     groups = talent_config.groups
     general = GroupSystem(list(groups), aggregate="l1")
@@ -80,12 +91,16 @@ def test_disjoint_system_equals_group_set(algo_cls, engine, delta, talent_config
 
 
 @pytest.mark.parametrize("algo_cls", ALGORITHMS)
-@pytest.mark.parametrize("engine", ["set", "bitset"])
-def test_overlapping_delta_scoring_neutral(algo_cls, engine, talent_config):
+@STORE
+def test_overlapping_delta_scoring_neutral(algo_cls, columnar, talent_config):
     """Delta scoring may not shift results when counters overlap."""
     system = overlapping_groups(talent_config.graph)
     assert not system.is_disjoint
-    base = replace(talent_config, groups=system, matcher_engine=engine)
+    base = replace(
+        talent_config,
+        groups=system,
+        shared_indexes=_indexes(talent_config, columnar),
+    )
     plain = algo_cls(base).run()
     delta = algo_cls(replace(base, use_delta_scoring=True)).run()
     assert _fingerprint(delta) == _fingerprint(plain)

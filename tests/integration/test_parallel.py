@@ -69,12 +69,3 @@ class TestParallelQGen:
         assert forked_counters.get("gen.parallelqgen.verified") == serial_counters.get(
             "gen.parallelqgen.verified"
         )
-
-    @pytest.mark.skipif(not _fork_available(), reason="requires fork start method")
-    def test_parallel_bitset_engine_matches_enum(self, talent_config):
-        from dataclasses import replace
-
-        config = replace(talent_config, matcher_engine="bitset")
-        enum = EnumQGen(talent_config).run()
-        parallel = ParallelQGen(config, workers=2, batch_size=4).run()
-        assert objective_set(parallel) == objective_set(enum)

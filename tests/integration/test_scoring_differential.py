@@ -3,10 +3,11 @@
 ``use_delta_scoring`` flips *how* (δ, f) are computed — state maintenance
 along lattice edges plus a fingerprint cache — but the contract is bitwise
 equality with from-scratch scoring. These tests run full generator runs
-with the knob on and off, across both matcher engines, and compare the
-archives exactly (instantiation keys, match sets, and the float δ/f
-coordinates with ``==``). They also pin the baseline-safety property:
-with the knob off, no ``scoring.*`` counter may appear in a run snapshot.
+with the knob on and off, with and without a columnar store (which
+selects the columnar matcher engine), and compare the archives exactly
+(instantiation keys, match sets, and the float δ/f coordinates with
+``==``). They also pin the baseline-safety property: with the knob off,
+no ``scoring.*`` counter may appear in a run snapshot.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro import (
     OnlineQGen,
     RfQGen,
 )
+from repro.graph.indexes import GraphIndexes
 from repro.obs import MetricsRegistry
 
 ALGORITHMS = [EnumQGen, Kungs, CBM, RfQGen, BiQGen]
@@ -41,11 +43,13 @@ def _fingerprint(result):
 
 
 @pytest.mark.parametrize("algo_cls", ALGORITHMS)
-@pytest.mark.parametrize("engine", ["set", "bitset"])
-def test_delta_scoring_is_bit_identical(algo_cls, engine, talent_config):
-    baseline_config = replace(talent_config, matcher_engine=engine)
+@pytest.mark.parametrize("columnar", [False, True], ids=["bitset", "columnar"])
+def test_delta_scoring_is_bit_identical(algo_cls, columnar, talent_config):
+    baseline_config = talent_config
     delta_config = replace(
-        talent_config, matcher_engine=engine, use_delta_scoring=True
+        talent_config,
+        use_delta_scoring=True,
+        shared_indexes=GraphIndexes(talent_config.graph, columnar=columnar),
     )
     baseline = algo_cls(baseline_config).run()
     delta = algo_cls(delta_config).run()
@@ -85,12 +89,9 @@ def test_differential_on_larger_answers(small_lki_bundle):
     base = GenerationConfig(
         b.graph, b.template, b.groups, epsilon=0.1, max_domain_values=4
     )
-    for engine in ("set", "bitset"):
-        baseline = RfQGen(replace(base, matcher_engine=engine)).run()
-        delta = RfQGen(
-            replace(base, matcher_engine=engine, use_delta_scoring=True)
-        ).run()
-        assert _fingerprint(delta) == _fingerprint(baseline)
+    baseline = RfQGen(base).run()
+    delta = RfQGen(replace(base, use_delta_scoring=True)).run()
+    assert _fingerprint(delta) == _fingerprint(baseline)
 
 
 def test_online_stream_differential(talent_graph, talent_template, talent_groups):

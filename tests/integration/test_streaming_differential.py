@@ -4,10 +4,11 @@ The streaming session's contract: after every applied delta, its graph,
 ledger evaluations and ε-Pareto archive are *byte-identical* to what a
 cold rebuild would produce — materialize ``G ⊕ Δ₁ ⊕ … ⊕ Δₜ`` from
 scratch, build a fresh context/evaluator, evaluate the ledger instances
-in order, offer the feasible ones. The suite pins that equality across
-all three matcher engines × delta scoring on/off, for structural,
-attribute and mixed deltas — the columnar engine's in-place CSR/column
-repair included.
+in order, offer the feasible ones. The suite pins that equality with and
+without a columnar store on the session's context (the store selects the
+columnar engine) × delta scoring on/off, for structural, attribute and
+mixed deltas — the store's in-place CSR/column repair included. The cold
+rebuild always runs store-less.
 """
 
 import itertools
@@ -24,9 +25,14 @@ from repro.service.context import GraphContext
 from repro.streaming import StreamingSession, graph_signature
 from repro.workload import random_delta_stream
 
-CONFIG_GRID = list(
-    itertools.product(("set", "bitset", "columnar"), (False, True))
-)
+#: (columnar store on the live context, delta scoring); the store axis is
+#: named after the matcher engine it selects.
+CONFIG_GRID = [
+    pytest.param(columnar, scoring, id=f"{engine}-{scoring}")
+    for (engine, columnar), scoring in itertools.product(
+        (("bitset", False), ("columnar", True)), (False, True)
+    )
+]
 
 
 def build_graph():
@@ -119,22 +125,19 @@ def cold_rebuild(graph, template, groups, instances, **options):
     return archive, evaluations
 
 
-@pytest.mark.parametrize("engine,scoring", CONFIG_GRID)
+@pytest.mark.parametrize("columnar,scoring", CONFIG_GRID)
 class TestStreamingDifferential:
-    def _options(self, engine, scoring):
-        return dict(
-            epsilon=0.15,
-            matcher_engine=engine,
-            use_delta_scoring=scoring,
-            max_domain_values=4,
-        )
+    def _options(self, scoring):
+        return dict(epsilon=0.15, use_delta_scoring=scoring, max_domain_values=4)
 
-    def _run_stream(self, engine, scoring, seed, edge_ops=2, attr_ops=1, count=8):
-        options = self._options(engine, scoring)
+    def _run_stream(self, columnar, scoring, seed, edge_ops=2, attr_ops=1, count=8):
+        options = self._options(scoring)
         graph = build_graph()
         template = build_template()
         groups = build_groups()
-        session = StreamingSession(graph, template, groups, **options)
+        session = StreamingSession(
+            GraphContext(graph, columnar=columnar), template, groups, **options
+        )
         session.generate(count=24, seed=3)
         reference = build_graph()
         deltas = list(
@@ -162,33 +165,35 @@ class TestStreamingDifferential:
                 assert live.feasible == fresh.feasible
         return session
 
-    def test_structural_stream(self, engine, scoring):
+    def test_structural_stream(self, columnar, scoring):
         """Edge-only deltas: the cheap tier (scores survive verbatim)."""
-        session = self._run_stream(engine, scoring, seed=5, attr_ops=0)
+        session = self._run_stream(columnar, scoring, seed=5, attr_ops=0)
         counters = session.metrics.counters()
         assert counters["streaming.deltas_applied"] == 8
         assert counters["streaming.full_rescores"] == 0
 
-    def test_attribute_stream(self, engine, scoring):
+    def test_attribute_stream(self, columnar, scoring):
         """Attribute-only deltas: scoped and full score-repair tiers."""
         session = self._run_stream(
-            engine, scoring, seed=13, edge_ops=0, attr_ops=2
+            columnar, scoring, seed=13, edge_ops=0, attr_ops=2
         )
         assert session.metrics.counters()["streaming.deltas_applied"] == 8
 
-    def test_mixed_stream_multiple_seeds(self, engine, scoring):
+    def test_mixed_stream_multiple_seeds(self, columnar, scoring):
         """Mixed structural + attribute churn across independent seeds."""
         for seed in (11, 29, 47):
-            self._run_stream(engine, scoring, seed=seed)
+            self._run_stream(columnar, scoring, seed=seed)
 
-    def test_interleaved_generation(self, engine, scoring):
+    def test_interleaved_generation(self, columnar, scoring):
         """Generation requests interleave with updates; equality holds
         for instances adopted *after* earlier deltas too."""
-        options = self._options(engine, scoring)
+        options = self._options(scoring)
         graph = build_graph()
         template = build_template()
         groups = build_groups()
-        session = StreamingSession(graph, template, groups, **options)
+        session = StreamingSession(
+            GraphContext(graph, columnar=columnar), template, groups, **options
+        )
         session.generate(count=12, seed=3)
         reference = build_graph()
         deltas = list(
@@ -203,16 +208,18 @@ class TestStreamingDifferential:
             )
             assert archive_fingerprint(session.archive) == archive_fingerprint(cold)
 
-    def test_membership_moving_stream(self, engine, scoring):
+    def test_membership_moving_stream(self, columnar, scoring):
         """Rule-built overlapping system under attribute churn that moves
         group memberships: the live archive still equals a cold rebuild
         whose system is re-materialized from the rules on the reference
         graph, at every step."""
-        options = self._options(engine, scoring)
+        options = self._options(scoring)
         graph = build_graph()
         template = build_template()
         groups = system_from_rules(graph, MEMBERSHIP_RULES, clamp=True)
-        session = StreamingSession(graph, template, groups, **options)
+        session = StreamingSession(
+            GraphContext(graph, columnar=columnar), template, groups, **options
+        )
         session.generate(count=24, seed=3)
         reference = build_graph()
         deltas = list(
@@ -246,16 +253,16 @@ class TestStreamingDifferential:
         assert moves > 0, "stream never moved a membership — weak test"
         assert counters["groups.membership_repairs"] == 8
 
-    def test_membership_patching_off_is_equivalent(self, engine, scoring):
+    def test_membership_patching_off_is_equivalent(self, columnar, scoring):
         """The invalidation fallback arm (membership_patching=False)
         produces the same archives — only the repair mechanism differs."""
-        options = self._options(engine, scoring)
+        options = self._options(scoring)
         results = []
         for patching in (True, False):
             graph = build_graph()
             groups = system_from_rules(graph, MEMBERSHIP_RULES, clamp=True)
             session = StreamingSession(
-                graph, build_template(), groups,
+                GraphContext(graph, columnar=columnar), build_template(), groups,
                 membership_patching=patching, **options
             )
             session.generate(count=24, seed=3)
@@ -269,12 +276,14 @@ class TestStreamingDifferential:
             results.append(fingerprints)
         assert results[0] == results[1]
 
-    def test_graph_identity_preserved(self, engine, scoring):
+    def test_graph_identity_preserved(self, columnar, scoring):
         """In-place updates never replace the pinned graph object."""
         graph = build_graph()
         session = StreamingSession(
-            graph, build_template(), build_groups(),
-            **self._options(engine, scoring),
+            GraphContext(graph, columnar=columnar),
+            build_template(),
+            build_groups(),
+            **self._options(scoring),
         )
         session.generate(count=8, seed=3)
         before = session.graph

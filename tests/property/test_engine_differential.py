@@ -1,19 +1,24 @@
-"""Differential testing: bitset and columnar engines vs the set engine.
+"""Differential testing: the matcher against the reference oracles.
 
-All engines implement the same contract (initial candidates → AC-3 →
-backtracking) over different data representations, so on every random draw
-they must return identical match sets *and* identical candidate maps — the
-bitset engine's masks and the columnar engine's compiled-column/CSR
-kernels are just other encodings of the same pools. The exponential oracle
-in ``matching/reference.py`` anchors all of them to the semantics. The
-suite also covers the incremental parent-seeded path (mask restriction
-must equal set restriction) and ``injective=True``.
+The mask pipeline (and its columnar-store variant, which swaps the AC-3
+inner loop for CSR support sweeps) must return exactly the answers of the
+exponential oracles in ``matching/reference.py``: the naive match set for
+homomorphisms and networkx VF2 for ``injective=True``. With and without a
+columnar store the candidate masks and removal counts must coincide too.
+The suite also covers the incremental parent-seeded path (mask
+restriction must equal set restriction and a from-scratch match) and the
+lazily materialized ``MatchResult.candidates``.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.graph.attributed_graph import AttributedGraph
-from repro.matching import SubgraphMatcher, naive_match_set
+from repro.graph.indexes import GraphIndexes
+from repro.matching import (
+    SubgraphMatcher,
+    naive_match_set,
+    nx_monomorphism_match_set,
+)
 from repro.matching.incremental import IncrementalVerifier
 from repro.query import Instantiation, Op, QueryInstance, QueryTemplate
 
@@ -94,63 +99,87 @@ def build_instance(template, bound, edge_bit):
     return QueryInstance(Instantiation(template, bindings))
 
 
-def assert_results_equal(by_set, by_bit, graph=None, instance=None):
-    assert by_set.matches == by_bit.matches
-    assert by_set.candidates == by_bit.candidates
-    assert by_set.pruned_candidates == by_bit.pruned_candidates
-    if graph is not None:
-        assert by_bit.matches == naive_match_set(graph, instance)
+def matchers(graph, injective=False):
+    """One matcher over plain indexes, one over a columnar store."""
+    return [
+        SubgraphMatcher(
+            graph, GraphIndexes(graph, columnar=columnar), injective=injective
+        )
+        for columnar in (False, True)
+    ]
+
+
+def literal_pool(graph, instance, node_id):
+    """Nodes of ``node_id``'s label satisfying all of its literals."""
+    return {
+        v
+        for v in graph.nodes_with_label(instance.node_label(node_id))
+        if all(
+            literal.holds_for(graph.attribute(v, literal.attribute))
+            for literal in instance.literals_on(node_id)
+        )
+    }
+
+
+INSTANCES = dict(
+    graph=random_graphs(),
+    template_index=st.integers(min_value=0, max_value=2),
+    bound=st.integers(min_value=0, max_value=5),
+    edge_bit=st.integers(min_value=0, max_value=1),
+)
 
 
 class TestEngineAgreement:
     @SETTINGS
-    @given(
-        graph=random_graphs(),
-        template_index=st.integers(min_value=0, max_value=2),
-        bound=st.integers(min_value=0, max_value=5),
-        edge_bit=st.integers(min_value=0, max_value=1),
-    )
+    @given(**INSTANCES)
     def test_match_and_candidates_identical(
         self, graph, template_index, bound, edge_bit
     ):
         instance = build_instance(TEMPLATES[template_index], bound, edge_bit)
-        by_set = SubgraphMatcher(graph).match(instance)
-        by_bit = SubgraphMatcher(graph, engine="bitset").match(instance)
-        by_col = SubgraphMatcher(graph, engine="columnar").match(instance)
-        assert_results_equal(by_set, by_bit, graph, instance)
-        assert_results_equal(by_set, by_col)
+        by_bit, by_col = (m.match(instance) for m in matchers(graph))
+        assert by_bit.matches == naive_match_set(graph, instance)
+        assert by_col.matches == by_bit.matches
+        assert by_col.candidate_masks == by_bit.candidate_masks
+        assert by_col.pruned_candidates == by_bit.pruned_candidates
 
     @SETTINGS
-    @given(
-        graph=random_graphs(),
-        template_index=st.integers(min_value=0, max_value=2),
-        bound=st.integers(min_value=0, max_value=5),
-        edge_bit=st.integers(min_value=0, max_value=1),
-    )
+    @given(**INSTANCES)
     def test_injective_engines_agree(self, graph, template_index, bound, edge_bit):
         instance = build_instance(TEMPLATES[template_index], bound, edge_bit)
-        by_set = SubgraphMatcher(graph, injective=True).match(instance)
-        by_bit = SubgraphMatcher(graph, injective=True, engine="bitset").match(instance)
-        by_col = SubgraphMatcher(graph, injective=True, engine="columnar").match(
-            instance
-        )
-        assert by_set.matches == by_bit.matches == by_col.matches
-        assert by_set.candidates == by_bit.candidates == by_col.candidates
+        by_bit, by_col = (m.match(instance) for m in matchers(graph, injective=True))
+        assert by_bit.matches == nx_monomorphism_match_set(graph, instance)
         assert by_bit.matches == naive_match_set(graph, instance, injective=True)
+        assert by_col.matches == by_bit.matches
+        assert by_col.candidate_masks == by_bit.candidate_masks
 
     @SETTINGS
-    @given(
-        graph=random_graphs(),
-        template_index=st.integers(min_value=0, max_value=2),
-        bound=st.integers(min_value=0, max_value=5),
-        edge_bit=st.integers(min_value=0, max_value=1),
-    )
+    @given(**INSTANCES)
     def test_exists_agrees(self, graph, template_index, bound, edge_bit):
         instance = build_instance(TEMPLATES[template_index], bound, edge_bit)
-        by_set = SubgraphMatcher(graph).exists(instance)
-        by_bit = SubgraphMatcher(graph, engine="bitset").exists(instance)
-        by_col = SubgraphMatcher(graph, engine="columnar").exists(instance)
-        assert by_set == by_bit == by_col == bool(naive_match_set(graph, instance))
+        expected = bool(naive_match_set(graph, instance))
+        assert [m.exists(instance) for m in matchers(graph)] == [expected, expected]
+
+
+class TestLazyCandidates:
+    @SETTINGS
+    @given(**INSTANCES)
+    def test_candidates_bracket_exact_matches(
+        self, graph, template_index, bound, edge_bit
+    ):
+        """Materialized on first read, ``candidates`` holds every node's
+        exact matches (``match_outputs``) and lies inside its literal pool."""
+        instance = build_instance(TEMPLATES[template_index], bound, edge_bit)
+        matcher = SubgraphMatcher(graph)
+        result = matcher.match(instance)
+        assert result._candidates is None
+        candidates = result.candidates
+        assert result.candidates is candidates
+        nodes = sorted(instance.active_nodes)
+        exact = matcher.match_outputs(instance, nodes)
+        for node_id in nodes:
+            assert exact[node_id] <= candidates[node_id]
+            assert candidates[node_id] <= literal_pool(graph, instance, node_id)
+        assert exact[instance.output_node] == result.matches
 
 
 class TestIncrementalParentSeeding:
@@ -161,44 +190,36 @@ class TestIncrementalParentSeeding:
         child_extra=st.integers(min_value=0, max_value=2),
     )
     def test_mask_seeding_equals_set_seeding(self, graph, parent_bound, child_extra):
-        """A child verified from a bitset parent (mask restriction) must
-        equal the same child verified from a set parent (set restriction)
-        and a from-scratch match."""
+        """A child seeded from its parent's candidate masks must equal the
+        same child seeded from the parent's candidate sets, a from-scratch
+        match and the oracle."""
         template = path_template()
         parent = QueryInstance(Instantiation(template, {"xl": parent_bound}))
         child = QueryInstance(
             Instantiation(template, {"xl": parent_bound + child_extra})
         )
-
-        set_matcher = SubgraphMatcher(graph)
-        parent_set = set_matcher.match(parent)
-        fresh = SubgraphMatcher(graph).match(child)
-        seeded_set = set_matcher.match(child, restrict=parent_set.candidates)
-        for engine in ("bitset", "columnar"):
-            matcher = SubgraphMatcher(graph, engine=engine)
-            parent_bit = matcher.match(parent)
-            assert parent_bit.candidate_masks is not None
-            seeded_bit = matcher.match(
-                child, restrict_masks=parent_bit.candidate_masks
+        expected = naive_match_set(graph, child)
+        for matcher in matchers(graph):
+            parent_result = matcher.match(parent)
+            fresh = matcher.match(child)
+            by_masks = matcher.match(
+                child, restrict_masks=parent_result.candidate_masks
             )
-            assert seeded_bit.matches == seeded_set.matches == fresh.matches
-            assert seeded_bit.candidates == seeded_set.candidates
+            by_sets = matcher.match(child, restrict=parent_result.candidates)
+            assert by_masks.matches == by_sets.matches == fresh.matches == expected
+            assert by_masks.candidate_masks == by_sets.candidate_masks
+            assert by_masks.candidates == fresh.candidates
 
     @SETTINGS
     @given(graph=random_graphs(), parent_bound=st.integers(min_value=0, max_value=3))
     def test_incremental_verifier_engines_agree(self, graph, parent_bound):
-        """IncrementalVerifier takes the mask-native path on bitset parents
-        and the set path otherwise; both must produce the from-scratch
-        match set for the child."""
+        """IncrementalVerifier seeds the child from the parent's masks, with
+        and without a columnar store; both give the oracle's answer."""
         template = path_template()
         parent = QueryInstance(Instantiation(template, {"xl": parent_bound}))
         child = QueryInstance(Instantiation(template, {"xl": parent_bound + 1}))
-        outcomes = {}
-        for engine in ("set", "bitset", "columnar"):
-            matcher = SubgraphMatcher(graph, engine=engine)
+        expected = naive_match_set(graph, child)
+        for matcher in matchers(graph):
             verifier = IncrementalVerifier(matcher)
             verifier.verify(parent)
-            result = verifier.verify(child, parent=parent)
-            outcomes[engine] = result.matches
-        assert outcomes["set"] == outcomes["bitset"] == outcomes["columnar"]
-        assert outcomes["bitset"] == naive_match_set(graph, child)
+            assert verifier.verify(child, parent=parent).matches == expected

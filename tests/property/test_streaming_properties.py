@@ -10,14 +10,17 @@ Three algebraic laws lock the update semantics down:
 * **No-op** — the empty delta changes nothing and increments nothing.
 
 Plus the foundational differential: in-place application is extensionally
-equal to materializing application, for every generated delta — and the
+equal to materializing application, for every generated delta — the
 session's per-attribute carrier refcounts (the O(|Δ|) replacement for the
-kernel-universe drift rescan) always equal a fresh full scan.
+kernel-universe drift rescan) always equal a fresh full scan, and the
+adjacency rows the shared bitset index keeps across deltas (repaired by
+``drop_rows``) always equal those of a freshly built index.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.graph.attributed_graph import AttributedGraph
+from repro.graph.indexes import GraphIndexes
 from repro.groups import GroupSet, NodeGroup
 from repro.matching.delta import GraphDelta, apply_delta, invert_delta
 from repro.query import Instantiation, Op, QueryInstance, QueryTemplate
@@ -26,6 +29,7 @@ from repro.streaming import (
     apply_delta_in_place,
     graph_signature,
 )
+from repro.workload import random_delta_stream
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -114,6 +118,40 @@ class TestInPlaceEquivalence:
         receipt = apply_delta_in_place(graph, delta)
         assert graph_signature(graph) == graph_signature(materialized)
         assert receipt.touched_nodes == delta.touched_nodes
+
+
+def cached_rows(bitsets):
+    """Every materialized row: (relation, position) → encoded row."""
+    return {
+        (key, position): row
+        for key, table in bitsets._rows.items()
+        for position, row in enumerate(table)
+        if row is not None
+    }
+
+
+class TestRowRepair:
+    @SETTINGS
+    @given(setup=graph_and_delta(), seed=st.integers(min_value=0, max_value=99))
+    def test_repaired_rows_equal_fresh_index(self, setup, seed):
+        graph, first = setup
+        session = make_session(graph)
+        session.generate(count=6, seed=seed)
+        bitsets = session.context.indexes.bitsets
+        for outgoing in (True, False):
+            # Cache every row, so every touched node has rows to drop.
+            for position in range(graph.count_label("a")):
+                bitsets.row(position, "a", "e", outgoing, "a")
+        session.update(first)
+        deltas = [first] + list(
+            random_delta_stream(session.graph, count=3, seed=seed, attr_ops=1)
+        )
+        for step, delta in enumerate(deltas):
+            if step:
+                session.update(delta)
+            fresh = GraphIndexes(session.graph).bitsets
+            for (key, position), row in cached_rows(bitsets).items():
+                assert row == fresh.row(position, *key), (step, key, position)
 
 
 class TestInversion:

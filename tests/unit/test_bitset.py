@@ -2,11 +2,16 @@
 
 import pytest
 
-from repro.core.config import GenerationConfig
 from repro.core.evaluator import InstanceEvaluator
-from repro.errors import ConfigurationError, MatchingError
+from repro.errors import MatchingError
 from repro.graph.indexes import GraphIndexes
-from repro.matching import LiteralPoolCache, SubgraphMatcher
+from repro.matching import (
+    BitsetEngine,
+    ColumnarEngine,
+    LiteralPoolCache,
+    SubgraphMatcher,
+    naive_match_set,
+)
 from repro.matching.bitset import iter_bits
 from repro.obs import MetricsRegistry
 from repro.query import Instantiation, Literal, Op, QueryInstance
@@ -93,58 +98,31 @@ class TestLiteralPoolCache:
 
 
 class TestEngineSelection:
-    def test_unknown_engine_rejected(self, talent_graph):
-        with pytest.raises(MatchingError):
-            SubgraphMatcher(talent_graph, engine="vectorized")
-
-    def test_config_validates_engine(self, talent_graph, talent_template, talent_groups):
-        with pytest.raises(ConfigurationError):
-            GenerationConfig(
-                talent_graph,
-                talent_template,
-                talent_groups,
-                epsilon=0.3,
-                matcher_engine="simd",
-            )
-
     def test_evaluator_threads_engine(self, talent_config):
         from dataclasses import replace
 
-        config = replace(talent_config, matcher_engine="bitset")
-        evaluator = InstanceEvaluator(config)
-        assert evaluator.matcher.engine == "bitset"
-        assert evaluator.matcher._bitset is not None
+        evaluator = InstanceEvaluator(talent_config)
+        assert type(evaluator.matcher.engine) is BitsetEngine
+        # Only indexes carrying a columnar store select the columnar engine.
+        store_backed = replace(
+            talent_config,
+            shared_indexes=GraphIndexes(talent_config.graph, columnar=True),
+        )
+        assert isinstance(InstanceEvaluator(store_backed).matcher.engine, ColumnarEngine)
 
 
 class TestBitsetMatcher:
-    def test_agrees_with_set_engine(self, talent_graph, talent_template):
-        set_matcher = SubgraphMatcher(talent_graph)
-        bit_matcher = SubgraphMatcher(talent_graph, engine="bitset")
-        for xl1, xl2, xe1 in [(5, 100, 0), (12, 100, 1), (5, 1000, 0), (20, 100, 1)]:
-            q = talent_instance(talent_template, xl1=xl1, xl2=xl2, xe1=xe1)
-            a, b = set_matcher.match(q), bit_matcher.match(q)
-            assert a.matches == b.matches
-            assert a.candidates == b.candidates
-            assert a.pruned_candidates == b.pruned_candidates
-
     def test_candidate_masks_mirror_candidates(self, talent_graph, talent_template):
-        matcher = SubgraphMatcher(talent_graph, engine="bitset")
+        matcher = SubgraphMatcher(talent_graph)
         q = talent_instance(talent_template, xl1=5, xl2=100, xe1=0)
         result = matcher.match(q)
-        assert result.candidate_masks is not None
         bitsets = matcher.indexes.bitsets
         for node_id, mask in result.candidate_masks.items():
             label = q.node_label(node_id)
             assert bitsets.to_ids(label, mask) == result.candidates[node_id]
 
-    def test_set_engine_has_no_masks(self, talent_graph, talent_template):
-        result = SubgraphMatcher(talent_graph).match(
-            talent_instance(talent_template, xl1=5, xl2=100, xe1=0)
-        )
-        assert result.candidate_masks is None
-
     def test_restrict_sets_accepted(self, talent_graph, talent_template, talent_ids):
-        matcher = SubgraphMatcher(talent_graph, engine="bitset")
+        matcher = SubgraphMatcher(talent_graph)
         q = talent_instance(talent_template, xl1=5, xl2=100, xe1=0)
         full = matcher.match(q)
         restricted = matcher.match(q, restrict={"u0": {talent_ids["d2"]}})
@@ -152,7 +130,7 @@ class TestBitsetMatcher:
         assert restricted.matches == {talent_ids["d2"]} & full.matches
 
     def test_restrict_masks_accepted(self, talent_graph, talent_template):
-        matcher = SubgraphMatcher(talent_graph, engine="bitset")
+        matcher = SubgraphMatcher(talent_graph)
         q = talent_instance(talent_template, xl1=5, xl2=100, xe1=0)
         parent = matcher.match(q)
         child = talent_instance(talent_template, xl1=12, xl2=100, xe1=0)
@@ -162,7 +140,7 @@ class TestBitsetMatcher:
         assert seeded.candidates == fresh.candidates
 
     def test_literal_pool_hits_across_siblings(self, talent_graph, talent_template):
-        matcher = SubgraphMatcher(talent_graph, engine="bitset")
+        matcher = SubgraphMatcher(talent_graph)
         # Siblings share xl2/xe1 literals and vary xl1 — the shared
         # literal masks must be cache hits after the first instance.
         for xl1 in (5, 8, 12, 15):
@@ -173,16 +151,17 @@ class TestBitsetMatcher:
     def test_match_outputs_agrees(self, talent_graph, talent_template):
         q = talent_instance(talent_template, xl1=5, xl2=100, xe1=1)
         outputs = sorted(q.active_nodes)
-        by_set = SubgraphMatcher(talent_graph).match_outputs(q, outputs)
-        by_bit = SubgraphMatcher(talent_graph, engine="bitset").match_outputs(
-            q, outputs
-        )
-        assert by_set == by_bit
+        by_bit = SubgraphMatcher(talent_graph).match_outputs(q, outputs)
+        by_col = SubgraphMatcher(
+            talent_graph, GraphIndexes(talent_graph, columnar=True)
+        ).match_outputs(q, outputs)
+        assert by_bit == by_col
+        assert by_bit[q.output_node] == naive_match_set(talent_graph, q)
 
     def test_match_outputs_validates(self, talent_graph, talent_template):
         q = talent_instance(talent_template, xl1=5, xl2=100, xe1=0)
         with pytest.raises(MatchingError):
-            SubgraphMatcher(talent_graph, engine="bitset").match_outputs(q, ["zz"])
+            SubgraphMatcher(talent_graph).match_outputs(q, ["zz"])
 
 
 class TestExistsEarlyExit:
@@ -201,8 +180,10 @@ class TestExistsEarlyExit:
             .build()
         )
         q = QueryInstance(Instantiation(template, {}))
-        for engine in ("set", "bitset"):
-            matcher = SubgraphMatcher(triangle_graph, engine=engine)
+        for columnar in (False, True):
+            matcher = SubgraphMatcher(
+                triangle_graph, GraphIndexes(triangle_graph, columnar=columnar)
+            )
             assert matcher.exists(q) == bool(matcher.match(q).matches)
 
     def test_exists_does_less_backtracking(self, triangle_graph):

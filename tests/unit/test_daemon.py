@@ -88,6 +88,27 @@ def test_unknown_keys_and_bad_slo_are_rejected_with_ids(talent_template):
     assert "platinum" in parsed[1].reason
 
 
+def test_matcher_engine_option_is_rejected_as_unknown(talent_template):
+    """The matcher has one engine; a request still choosing one gets the
+    structured unknown-option rejection, and its neighbors are served."""
+    parsed = parse(
+        [
+            '{"id": "old", "client": "bob", "options": {"matcher_engine": "set"}}',
+            '{"id": "ok", "options": {"max_domain_values": 3}}',
+        ],
+        talent_template,
+    )
+    rejection, request = parsed
+    assert isinstance(rejection, RequestRejection)
+    assert rejection.request_id == "old"
+    assert rejection.client == "bob"
+    assert rejection.line_no == 1
+    assert "unknown option" in rejection.reason
+    assert "matcher_engine" in rejection.reason
+    assert isinstance(request, GenerationRequest)
+    assert request.options == {"max_domain_values": 3}
+
+
 def test_missing_template_without_default_is_rejected():
     parsed = list(parse_request_lines(['{"id": "r1"}']))
     assert isinstance(parsed[0], RequestRejection)

@@ -4,17 +4,36 @@ import pytest
 
 from repro.graph.indexes import GraphIndexes
 from repro.matching import (
+    BitsetEngine,
     SubgraphMatcher,
-    initial_candidates,
     naive_match_set,
     nx_monomorphism_match_set,
-    propagate,
 )
+from repro.matching.bitset import _Work
 from repro.query import Instantiation, Literal, Op, QueryInstance, QueryTemplate
 
 
 def talent_instance(template, **bindings):
     return QueryInstance(Instantiation(template, bindings))
+
+
+def _as_ids(indexes, masks, labels):
+    return {n: indexes.bitsets.to_ids(labels[n], m) for n, m in masks.items()}
+
+
+def initial_candidates(indexes, instance, restrict):
+    """The engine's literal stage alone, as per-node id sets."""
+    engine = BitsetEngine(indexes)
+    masks, labels = engine._initial_masks(instance, restrict, None, _Work())
+    return _as_ids(indexes, masks, labels)
+
+
+def propagate(indexes, instance, candidates):
+    """The engine's arc-consistency stage over id-set pools."""
+    engine = BitsetEngine(indexes)
+    masks, labels = engine._initial_masks(instance, candidates, None, _Work())
+    masks, removed = engine._propagate(instance, masks, labels, _Work())
+    return _as_ids(indexes, masks, labels), removed
 
 
 class TestInitialCandidates:
@@ -50,7 +69,7 @@ class TestPropagate:
         indexes = GraphIndexes(talent_graph)
         q = talent_instance(talent_template, xl1=5, xl2=1000, xe1=0)
         candidates = initial_candidates(indexes, q, None)
-        candidates, removed = propagate(talent_graph, q, candidates)
+        candidates, removed = propagate(indexes, q, candidates)
         # Only r2 works at the big org; only d2/d3 are recommended by r2.
         assert candidates["u1"] == {talent_ids["r2"]}
         assert candidates["u0"] == {talent_ids["d2"], talent_ids["d3"]}
@@ -60,7 +79,7 @@ class TestPropagate:
         indexes = GraphIndexes(talent_graph)
         q = talent_instance(talent_template, xl1=99, xl2=100, xe1=0)
         candidates = initial_candidates(indexes, q, None)
-        candidates, _ = propagate(talent_graph, q, candidates)
+        candidates, _ = propagate(indexes, q, candidates)
         assert all(not pool for pool in candidates.values())
 
 
