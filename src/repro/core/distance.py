@@ -20,11 +20,6 @@ from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.graph.attributed_graph import AttributedGraph
 
-try:  # pragma: no cover - exercised implicitly by both CI variants
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 
 def levenshtein(a: str, b: str) -> int:
     """Classic Levenshtein edit distance (two-row dynamic program)."""
@@ -191,16 +186,6 @@ class GowerTupleDistance(_TupleDistanceBase):
     def _compute(self, v: int, w: int) -> float:
         if not self.attributes:
             return 0.0
-        store = self.graph.columnar_store()
-        if store is not None:
-            gpos_v = store.node_pos.get(v)
-            gpos_w = store.node_pos.get(w)
-            if (
-                gpos_v is not None
-                and gpos_w is not None
-                and store.label_codes[gpos_v] == store.label_codes[gpos_w]
-            ):
-                return self._compute_interned(store, gpos_v, gpos_w)
         a_attrs = self.graph.attributes(v)
         b_attrs = self.graph.attributes(w)
         total = 0.0
@@ -217,37 +202,6 @@ class GowerTupleDistance(_TupleDistanceBase):
                 total += 0.0 if a == b else 1.0
         return total / len(self.attributes)
 
-    def _compute_interned(self, store, gpos_v: int, gpos_w: int) -> float:
-        """Column-backed pair distance: categorical branch compares codes.
-
-        Values equal under ``==`` share one interned code per column, so
-        code equality reproduces value equality without re-hashing raw
-        strings; numeric branches read the same raw values the dict path
-        reads, so the result is bitwise identical.
-        """
-        label = store.label_names[store.label_codes[gpos_v]]
-        pv = store.label_local[gpos_v]
-        pw = store.label_local[gpos_w]
-        total = 0.0
-        for attribute in self.attributes:
-            column = store.column(label, attribute)
-            a = column.values[pv]
-            b = column.values[pw]
-            if a is None and b is None:
-                continue
-            if a is None or b is None:
-                total += 1.0
-            elif _is_number(a) and _is_number(b):
-                total += self._attribute_distance_numeric(attribute, a, b)
-            else:
-                ca = column.codes[pv]
-                cb = column.codes[pw]
-                if ca >= 0 and cb >= 0:
-                    total += 0.0 if ca == cb else 1.0
-                else:  # unhashable value: fall back to raw equality
-                    total += 0.0 if a == b else 1.0
-        return total / len(self.attributes)
-
 
 def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -259,10 +213,16 @@ def pair_sum_numeric(values: Sequence[float]) -> float:
     With ``x`` sorted ascending, each ``x_k`` appears as the larger element
     of ``k`` pairs and the smaller of ``n−1−k``, so the sum telescopes to
     ``Σ_k x_k · (2k − n + 1)``.
+
+    The running sum is explicit and left to right: ``sum()`` over floats
+    is compensated on Python ≥ 3.12 and would round differently.
     """
     ordered = sorted(values)
     n = len(ordered)
-    return sum(x * (2 * k - n + 1) for k, x in enumerate(ordered))
+    total = 0.0
+    for k, x in enumerate(ordered):
+        total += x * (2 * k - n + 1)
+    return total
 
 
 def pair_sum_categorical(values: Sequence[Any]) -> float:
@@ -283,26 +243,3 @@ def pair_sum_categorical_counts(total: int, counts: Mapping[Any, int]) -> float:
     reproduce the from-scratch value bit-for-bit.
     """
     return (total * total - sum(m * m for m in counts.values())) / 2.0
-
-
-def pair_sum_interned(codes: Sequence[int]) -> float:
-    """:func:`pair_sum_categorical` over interned value codes.
-
-    ``codes`` are the dense ids of one
-    :class:`~repro.graph.columnar.AttributeColumn` — values equal under
-    ``==`` share one code — so counting codes counts values, without
-    re-hashing raw strings on the scoring hot path. All codes must be
-    ≥ 0 (callers exclude missing/unhashable sentinels). All-integer until
-    the final halving, hence exactly equal to the raw-value formula; with
-    numpy the counting is one ``bincount``.
-    """
-    n = len(codes)
-    if n < 2:
-        return 0.0
-    if _np is not None:
-        counts = _np.bincount(_np.asarray(codes, dtype=_np.int64))
-        return (n * n - int((counts * counts).sum())) / 2.0
-    tallies: Dict[int, int] = {}
-    for code in codes:
-        tallies[code] = tallies.get(code, 0) + 1
-    return (n * n - sum(m * m for m in tallies.values())) / 2.0

@@ -14,6 +14,11 @@ The pairwise term is O(|q(G)|²) naively; the measure also implements a
 sum over all pairs attribute-by-attribute in O(n log n) using sorted prefix
 sums (numeric) and value counts (categorical). ``mode="auto"`` picks the
 decomposed path for large answers when the kernel allows it.
+
+With numpy, both paths and the relevance sum run vectorised in
+:class:`~repro.core.gower.GowerKernel`, bitwise identical to the
+pure-Python code here, which stays as the numpy-free fallback and the test
+oracle (and serves mixed-label or exotic-valued answers per call).
 """
 
 from __future__ import annotations
@@ -26,12 +31,16 @@ from repro.core.distance import (
     _is_number,
     pair_sum_categorical,
     pair_sum_categorical_counts,
-    pair_sum_interned,
     pair_sum_numeric,
 )
 from repro.core.relevance import ConstantRelevance, RelevanceScorer
 from repro.graph.attributed_graph import AttributedGraph
 from repro.groups.system import GroupSystem
+
+try:  # numpy-free installs keep the pure-Python paths below
+    from repro.core.gower import GowerKernel
+except ImportError:  # pragma: no cover - exercised by the numpy-free CI matrix
+    GowerKernel = None
 
 #: Answers at or below this size always use the exact pairwise path.
 _DECOMPOSE_THRESHOLD = 64
@@ -81,6 +90,19 @@ class DiversityMeasure:
         self._gower = isinstance(self.distance, GowerTupleDistance)
         if mode == "decomposed" and not self._gower:
             raise ConfigurationError("decomposed mode requires the Gower kernel")
+        self._kernel = None
+        if (
+            GowerKernel is not None
+            and type(self.distance) is GowerTupleDistance
+            and self.distance.graph is graph
+        ):
+            self._kernel = GowerKernel(
+                graph,
+                self.distance.label,
+                self.distance.attributes,
+                self.distance.ranges,
+                self.relevance,
+            )
 
     # ------------------------------------------------------------------ #
 
@@ -94,8 +116,9 @@ class DiversityMeasure:
         nodes = sorted(set(matches))
         if not nodes:
             return 0.0
-        relevance_sum = sum(self._relevance_of(v) for v in nodes)
-        pair_sum = self._pair_sum(nodes)
+        positions = self._positions(nodes)
+        relevance_sum = self._relevance_sum(nodes, positions)
+        pair_sum = self._pair_sum(nodes, positions)
         normalizer = max(1, self._label_count - 1)
         return (1.0 - self.lam) * relevance_sum + (2.0 * self.lam / normalizer) * pair_sum
 
@@ -120,8 +143,9 @@ class DiversityMeasure:
         """
         if not nodes:
             return 0.0
-        relevance_sum = sum(self._relevance_of(v) for v in nodes)
-        pair_sum = self._pair_sum_maintained(nodes, stats)
+        positions = self._positions(nodes)
+        relevance_sum = self._relevance_sum(nodes, positions)
+        pair_sum = self._pair_sum_maintained(nodes, stats, positions)
         normalizer = max(1, self._label_count - 1)
         return (1.0 - self.lam) * relevance_sum + (2.0 * self.lam / normalizer) * pair_sum
 
@@ -130,6 +154,27 @@ class DiversityMeasure:
         return self.mode == "decomposed" or (
             self.mode == "auto" and self._gower and size > _DECOMPOSE_THRESHOLD
         )
+
+    def _positions(self, nodes: Sequence[int]):
+        """Label positions of the sorted ``nodes`` for the kernel; None runs
+        the Python paths (no numpy, or a node outside the label)."""
+        if self._kernel is None:
+            return None
+        return self.graph.gower_positions(self._kernel.label, nodes)
+
+    def _relevance_sum(self, nodes: Sequence[int], positions) -> float:
+        """``Σ r(u_o, v)`` left to right over the sorted nodes.
+
+        An explicit running sum, not ``sum()``: Python 3.12 made ``sum``
+        over floats compensated, which would round differently from the
+        kernel and from earlier interpreters.
+        """
+        if positions is not None:
+            return self._kernel.relevance_sum(positions)
+        total = 0.0
+        for v in nodes:
+            total += self._relevance_of(v)
+        return total
 
     def _relevance_of(self, node_id: int) -> float:
         """Memoized ``r(u_o, v)``.
@@ -147,25 +192,31 @@ class DiversityMeasure:
     # Pair-sum strategies
     # ------------------------------------------------------------------ #
 
-    def _pair_sum(self, nodes: Sequence[int]) -> float:
+    def _pair_sum(self, nodes: Sequence[int], positions=None) -> float:
         if len(nodes) < 2 or self.lam == 0.0:
             return 0.0
-        if self.uses_decomposed(len(nodes)):
+        decomposed = self.uses_decomposed(len(nodes))
+        if positions is not None:
+            value = self._kernel.pair_sum(positions, decomposed)
+            if value is not None:
+                return value
+        if decomposed:
             return self._pair_sum_decomposed(nodes)
         return self._pair_sum_exact(nodes)
 
     def _pair_sum_maintained(
-        self, nodes: Sequence[int], stats: Optional[Mapping[str, Any]]
+        self, nodes: Sequence[int], stats: Optional[Mapping[str, Any]], positions=None
     ) -> float:
         """Pair-sum mirroring :meth:`_pair_sum`'s mode decision, fed from
         maintained statistics whenever the decomposed path would run."""
-        if len(nodes) < 2 or self.lam == 0.0:
-            return 0.0
-        if self.uses_decomposed(len(nodes)):
-            if stats is not None:
-                return self._pair_sum_from_stats(len(nodes), stats)
-            return self._pair_sum_decomposed(nodes)
-        return self._pair_sum_exact(nodes)
+        if (
+            stats is not None
+            and len(nodes) >= 2
+            and self.lam != 0.0
+            and self.uses_decomposed(len(nodes))
+        ):
+            return self._pair_sum_from_stats(len(nodes), stats)
+        return self._pair_sum(nodes, positions)
 
     def _pair_sum_exact(self, nodes: Sequence[int]) -> float:
         total = 0.0
@@ -188,11 +239,6 @@ class DiversityMeasure:
             return 0.0
         graph = self.graph
         ranges = self.distance.ranges
-        store = graph.columnar_store()
-        if store is not None:
-            gathered = store.columns_for_nodes(list(nodes), attributes)
-            if gathered is not None:
-                return self._pair_sum_columnar(len(nodes), gathered, ranges)
         total = 0.0
         attr_maps = [graph.attributes(v) for v in nodes]
         for attribute in attributes:
@@ -214,43 +260,6 @@ class DiversityMeasure:
                     else:
                         contribution += pair_sum_categorical(present)
                 else:
-                    contribution += pair_sum_categorical(present)
-            total += contribution
-        return total / len(attributes)
-
-    def _pair_sum_columnar(self, n: int, gathered, ranges) -> float:
-        """:meth:`_pair_sum_decomposed` fed from interned column slices.
-
-        Values are gathered per attribute in node order (same multisets,
-        same ``pair_sum_numeric`` input sequence), and the categorical
-        formula counts interned codes instead of re-hashing raw values —
-        bitwise-identical results, no per-node attribute-dict hops.
-        """
-        columns, positions = gathered
-        attributes = self.distance.attributes
-        total = 0.0
-        for attribute in attributes:
-            column = columns[attribute]
-            values = column.values
-            codes = column.codes
-            present: List[Any] = []
-            present_codes: List[int] = []
-            for position in positions:
-                value = values[position]
-                if value is not None:
-                    present.append(value)
-                    present_codes.append(codes[position])
-            contribution = float(len(present) * (n - len(present)))
-            if present:
-                numeric = all(_is_number(v) for v in present)
-                spread = ranges.spread(attribute) if numeric else 0.0
-                if numeric and spread > 0:
-                    contribution += pair_sum_numeric(
-                        [float(v) / spread for v in present]
-                    ) * 1.0
-                elif all(code >= 0 for code in present_codes):
-                    contribution += pair_sum_interned(present_codes)
-                else:  # unhashable values: raw categorical formula
                     contribution += pair_sum_categorical(present)
             total += contribution
         return total / len(attributes)

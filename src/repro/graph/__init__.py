@@ -4,9 +4,11 @@ This subpackage implements the graph model of the paper's Section II:
 directed graphs ``G = (V, E, L, T)`` where every node and edge carries a
 label and every node carries a tuple of attribute/value pairs. On top of the
 store it provides the secondary structures the generation algorithms rely
-on: label indexes, per-(label, attribute) sorted value indexes (active
-domains), d-hop neighborhood sampling (for template refinement), builders,
-(de)serialization and summary statistics (Table II).
+on: per-(label, attribute) sorted value indexes (active domains), d-hop
+neighborhood sampling (for template refinement), builders,
+(de)serialization and summary statistics (Table II). With numpy, the graph
+also owns the numeric per-(label, attribute) columns of the δ kernel
+(:mod:`repro.graph.gower_columns`).
 
 The columnar core (:mod:`repro.graph.columnar`) is the flat companion of
 all of it: CSR adjacency per (edge label, direction), interned attribute
@@ -21,7 +23,7 @@ from repro.graph.attributed_graph import AttributedGraph, Edge, Node
 from repro.graph.builder import GraphBuilder
 from repro.graph.active_domain import ActiveDomainIndex
 from repro.graph.columnar import HAVE_NUMPY, AttributeColumn, ColumnarStore
-from repro.graph.indexes import AttributeIndex, LabelIndex
+from repro.graph.indexes import AttributeIndex
 from repro.graph.sampling import d_hop_neighborhood, induced_subgraph
 from repro.graph.statistics import GraphStatistics, compute_statistics
 from repro.graph.transform import (
@@ -36,7 +38,6 @@ __all__ = [
     "Node",
     "Edge",
     "GraphBuilder",
-    "LabelIndex",
     "AttributeIndex",
     "ActiveDomainIndex",
     "ColumnarStore",

@@ -36,6 +36,11 @@ from typing import (
 
 from repro.errors import GraphError
 
+try:  # numpy-free installs score δ on the pure-Python paths
+    from repro.graph.gower_columns import GowerColumn, GowerColumns
+except ImportError:  # pragma: no cover - exercised by the numpy-free CI matrix
+    GowerColumns = None
+
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.graph.columnar import ColumnarStore
 
@@ -107,6 +112,7 @@ class AttributedGraph:
         self._edge_labels: Set[str] = set()
         self._frozen = False
         self._columnar: Optional["ColumnarStore"] = None
+        self._gower: Optional["GowerColumns"] = None
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -124,6 +130,7 @@ class AttributedGraph:
             raise GraphError(f"duplicate node id {node_id}")
         node = Node(node_id, label, dict(attributes or {}))
         self._nodes[node_id] = node
+        self._gower = None  # label orders changed
         self._out[node_id] = {}
         self._in[node_id] = {}
         self._by_label.setdefault(label, set()).add(node_id)
@@ -187,6 +194,37 @@ class AttributedGraph:
         for the build, keeping default runs byte-identical.
         """
         return self._columnar
+
+    # ------------------------------------------------------------------ #
+    # Gower columns (the vectorised δ kernel's input)
+    # ------------------------------------------------------------------ #
+
+    def _gower_columns(self) -> Optional["GowerColumns"]:
+        """The graph's :class:`~repro.graph.gower_columns.GowerColumns`
+        (created on first use; None without numpy). ``add_node`` drops
+        them, ``_set_attribute_in_place`` patches them."""
+        if self._gower is None and GowerColumns is not None:
+            self._gower = GowerColumns()
+        return self._gower
+
+    def gower_positions(self, label: str, node_ids: List[int]):
+        """Positions of the sorted ``node_ids`` in :meth:`gower_order`, or
+        None without numpy or when some id is unknown or of another label."""
+        columns = self._gower_columns()
+        if columns is None:
+            return None
+        return columns.positions(label, self._by_label.get(label, set()), node_ids)
+
+    def gower_order(self, label: str):
+        """Sorted node ids of ``label`` as an int64 array (numpy only)."""
+        return self._gower_columns().order(label, self._by_label.get(label, set()))
+
+    def gower_column(self, label: str, attribute: str) -> "GowerColumn":
+        """The ``(label, attribute)`` column aligned with :meth:`gower_order`
+        (numpy only)."""
+        return self._gower_columns().column(
+            label, attribute, self._by_label.get(label, set()), self._nodes
+        )
 
     # ------------------------------------------------------------------ #
     # In-place maintenance (streaming layer only)
@@ -256,6 +294,10 @@ class AttributedGraph:
         self._nodes[node_id] = Node(node_id, node.label, attributes)
         if self._columnar is not None:
             self._columnar.patch_attribute(node_id, name)
+        if self._gower is not None:
+            self._gower.patch(
+                node.label, name, node_id, value, self._by_label[node.label], self._nodes
+            )
         return old
 
     # ------------------------------------------------------------------ #

@@ -20,8 +20,8 @@ BFS materializes a fresh neighbor set per visit.
   per-row overrides, so a repaired store never rebuilds.
 * **Attribute columns** — per ``(label, attribute)`` a value column
   aligned with the label order, with categorical values interned to
-  dense integer codes at build time (scoring kernels compare/count codes
-  instead of re-hashing raw values).
+  dense integer codes at build time. They feed the compiled predicates
+  below; δ reads the graph's own :mod:`~repro.graph.gower_columns`.
 * **Compiled predicates** — per column a one-shot bitmap index: distinct
   sort keys ascending, a value mask per key and lazily derived suffix
   masks, so any literal ``(label, attribute, op, constant)`` becomes a
@@ -254,8 +254,7 @@ class AttributeColumn:
     ``values[i]`` is the raw value of the label's i-th node (None when
     missing); ``codes[i]`` is the interned id of that value (``MISSING``
     / ``UNHASHABLE`` sentinels otherwise). Values equal under ``==`` share
-    one code — exactly the grouping of the dict-based categorical
-    kernels — so code-level counting reproduces value-level counting.
+    one code — exactly the grouping of dict-based value counting.
     """
 
     __slots__ = (

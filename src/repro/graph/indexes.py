@@ -17,36 +17,13 @@ and support checks become single AND operations.
 from __future__ import annotations
 
 import bisect
-from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.graph.attributed_graph import AttributedGraph, _sort_key
 from repro.query.predicates import Op
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.graph.columnar import ColumnarStore
-
-
-class LabelIndex:
-    """Maps node labels to node-id sets (thin wrapper for symmetry).
-
-    The raw graph already answers ``nodes_with_label``; this class exists so
-    that matcher code depends on an index interface rather than the store,
-    and caches frozensets to avoid re-materializing.
-    """
-
-    def __init__(self, graph: AttributedGraph) -> None:
-        self._graph = graph
-        self._cache: Dict[str, FrozenSet[int]] = {}
-
-    def nodes(self, label: str) -> FrozenSet[int]:
-        """All node ids with ``label``."""
-        if label not in self._cache:
-            self._cache[label] = self._graph.nodes_with_label(label)
-        return self._cache[label]
-
-    def count(self, label: str) -> int:
-        """Number of nodes with ``label``."""
-        return len(self.nodes(label))
 
 
 class AttributeIndex:
@@ -335,7 +312,6 @@ class GraphIndexes:
 
     def __init__(self, graph: AttributedGraph, columnar: bool = False) -> None:
         self.graph = graph
-        self.labels = LabelIndex(graph)
         self.attributes = AttributeIndex(graph)
         self.bitsets = BitsetIndex(graph)
         self.columnar: Optional["ColumnarStore"] = None
@@ -359,10 +335,6 @@ class GraphIndexes:
         if metrics is not None:
             store.attach_metrics(metrics)
         return store
-
-    def candidate_pool(self, label: str) -> FrozenSet[int]:
-        """Initial candidate set for a query node: all nodes with its label."""
-        return self.labels.nodes(label)
 
     def repair(
         self,

@@ -9,11 +9,7 @@ guard (typed sort keys) is covered at the bottom.
 
 import pytest
 
-from repro.core.distance import (
-    GowerTupleDistance,
-    pair_sum_categorical,
-    pair_sum_interned,
-)
+from repro.core.distance import GowerTupleDistance
 from repro.graph.attributed_graph import AttributedGraph, _sort_key
 from repro.graph.builder import GraphBuilder
 from repro.graph.columnar import (
@@ -222,13 +218,6 @@ class TestInterning:
         column = AttributeColumn("l", "a", [[1, 2], "ok"])
         assert column.codes[0] == UNHASHABLE
         assert column.has_unhashable
-
-    def test_pair_sum_interned_matches_categorical(self):
-        values = ["a", "b", "a", "c", "b", "a"]
-        column = AttributeColumn("l", "a", values)
-        assert pair_sum_interned(column.codes) == pair_sum_categorical(values)
-        assert pair_sum_interned([]) == 0.0
-        assert pair_sum_interned([0]) == 0.0
 
     def test_gower_interned_path_matches_dict_path(self):
         plain_graph = sample_graph()

@@ -51,6 +51,11 @@ class TestPairSums:
         assert pair_sum_numeric([]) == 0
         assert pair_sum_numeric([3.0]) == 0
 
+    def test_sum_is_left_to_right_on_every_python(self):
+        # Terms -2.1, -1e16, 1e16, 3e16: a running sum loses the -2.1,
+        # a compensated sum (``sum()`` on Python >= 3.12) keeps it.
+        assert pair_sum_numeric([0.7, 1e16, 1e16, 1e16]) == 3e16
+
     def test_categorical_matches_bruteforce(self):
         values = ["a", "b", "a", "c", "b", "b"]
         brute = sum(

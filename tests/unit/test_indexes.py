@@ -1,9 +1,9 @@
-"""Unit tests for label and attribute indexes."""
+"""Unit tests for attribute indexes."""
 
 import pytest
 
 from repro.graph.builder import GraphBuilder
-from repro.graph.indexes import AttributeIndex, GraphIndexes, LabelIndex
+from repro.graph.indexes import AttributeIndex
 from repro.query.predicates import Op
 
 
@@ -15,19 +15,6 @@ def graph():
     b.node("person")  # No attributes: excluded from attribute index.
     b.node("org", employees=100)
     return b.build()
-
-
-class TestLabelIndex:
-    def test_nodes_and_count(self, graph):
-        index = LabelIndex(graph)
-        assert index.count("person") == 6
-        assert index.count("org") == 1
-        assert index.count("ghost") == 0
-
-    def test_cached_result_is_stable(self, graph):
-        index = LabelIndex(graph)
-        first = index.nodes("person")
-        assert index.nodes("person") is first
 
 
 class TestAttributeIndex:
@@ -67,9 +54,3 @@ class TestAttributeIndex:
         index = AttributeIndex(graph)
         assert index.matching_nodes("ghost", "age", Op.GE, 0) == set()
         assert index.matching_nodes("person", "ghost", Op.GE, 0) == set()
-
-
-class TestGraphIndexes:
-    def test_candidate_pool(self, graph):
-        indexes = GraphIndexes(graph)
-        assert indexes.candidate_pool("org") == graph.nodes_with_label("org")

@@ -95,6 +95,16 @@ class TestDiversityMeasure:
         m = DiversityMeasure(graph, "m")
         assert m.of([0, 0, 1]) == m.of({0, 1})
 
+    @pytest.mark.parametrize("vectorised", [True, False])
+    def test_relevance_sum_is_left_to_right(self, graph, vectorised):
+        # 1e16 + 1.0 rounds back to 1e16, so a running sum ends at 0.0;
+        # a compensated sum (``sum()`` on Python >= 3.12) would give 1.0.
+        scores = {0: 1e16, 1: 1.0, 2: -1e16}
+        m = DiversityMeasure(graph, "m", lam=0.0, relevance=scores.get)
+        if not vectorised:
+            m._kernel = None
+        assert m.of({0, 1, 2}) == 0.0
+
 
 class TestCoverageMeasure:
     @pytest.fixture()

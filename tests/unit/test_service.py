@@ -125,7 +125,7 @@ class TestGraphContext:
     def test_warm_is_idempotent(self, talent_graph):
         context = GraphContext(talent_graph, warm=True)
         context.warm()
-        assert context.indexes.labels.nodes("person")
+        assert context.indexes.bitsets.full_mask("person")
 
 
 class TestGenerationRequest:
