@@ -23,7 +23,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from repro.core.config import GenerationConfig
 from repro.core.evaluator import EvaluatedInstance
 from repro.graph.active_domain import ActiveDomainIndex
-from repro.graph.sampling import NeighborhoodView, neighborhood_view
+from repro.graph.ball import Ball, d_hop_ball
 from repro.obs.registry import MetricsRegistry
 from repro.query.instance import QueryInstance
 from repro.query.instantiation import Instantiation
@@ -82,7 +82,7 @@ class InstanceLattice:
         self.domains = domains or config.build_domains()
         self.metrics = metrics or MetricsRegistry()
         self._diameter = self.template.diameter()
-        self._ball_cache: "OrderedDict[FrozenSet[int], NeighborhoodView]" = OrderedDict()
+        self._ball_cache: "OrderedDict[FrozenSet[int], Ball]" = OrderedDict()
 
     # ------------------------------------------------------------------ #
     # Extremes
@@ -124,7 +124,8 @@ class InstanceLattice:
         restricted to the d-hop neighborhood of the matches before
         stepping.
         """
-        ball: Optional[NeighborhoodView] = None
+        graph = self.config.graph
+        ball: Optional[Ball] = None
         if (
             self.config.use_template_refinement
             and evaluated is not None
@@ -138,7 +139,7 @@ class InstanceLattice:
             restricted = False
             if ball is not None:
                 label = self.template.node(var.node).label
-                ball_values = ball.attribute_values(label, var.attribute)
+                ball_values = ball.attribute_values(graph, label, var.attribute)
                 # Snap each in-ball value to its representative in the
                 # (possibly quantized) domain. The paper restricts to the
                 # in-ball values themselves, which is sound over the full
@@ -161,7 +162,7 @@ class InstanceLattice:
             current = inst[name]
             if current != WILDCARD and int(current) == 1:
                 continue
-            if ball is not None and not ball.has_labeled_edge(var.label):
+            if ball is not None and not ball.has_labeled_edge(graph, var.label):
                 # Template refinement "fixes" the variable to 0: no edge with
                 # this label exists near any match, so raising it can only
                 # produce empty answers.
@@ -236,17 +237,17 @@ class InstanceLattice:
     #: is evicted (one at a time — no wholesale flush of warm entries).
     _BALL_CACHE_MAX = 256
 
-    def _ball(self, matches: FrozenSet[int]) -> NeighborhoodView:
-        """LRU-cached d-hop neighborhood view of a match set."""
-        view = self._ball_cache.get(matches)
-        if view is None:
+    def _ball(self, matches: FrozenSet[int]) -> Ball:
+        """LRU-cached d-hop ball ``G_q^d`` of a match set."""
+        ball = self._ball_cache.get(matches)
+        if ball is None:
             self.metrics.inc("lattice.ball_cache_misses")
-            view = neighborhood_view(self.config.graph, matches, self._diameter)
+            ball = d_hop_ball(self.config.graph, matches, self._diameter)
             while len(self._ball_cache) >= self._BALL_CACHE_MAX:
                 self._ball_cache.popitem(last=False)
                 self.metrics.inc("lattice.ball_cache_evictions")
-            self._ball_cache[matches] = view
+            self._ball_cache[matches] = ball
         else:
             self.metrics.inc("lattice.ball_cache_hits")
             self._ball_cache.move_to_end(matches)
-        return view
+        return ball

@@ -4,8 +4,9 @@ This subpackage implements the graph model of the paper's Section II:
 directed graphs ``G = (V, E, L, T)`` where every node and edge carries a
 label and every node carries a tuple of attribute/value pairs. On top of the
 store it provides the secondary structures the generation algorithms rely
-on: per-(label, attribute) sorted value indexes (active domains), d-hop
-neighborhood sampling (for template refinement), builders,
+on: per-(label, attribute) sorted value indexes (active domains), the
+d-hop ball kernel (:mod:`repro.graph.ball`, for template refinement and
+streaming repair), builders,
 (de)serialization and summary statistics (Table II). With numpy, the graph
 also owns the numeric per-(label, attribute) columns of the δ kernel
 (:mod:`repro.graph.gower_columns`).

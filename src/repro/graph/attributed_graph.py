@@ -35,6 +35,7 @@ from typing import (
 )
 
 from repro.errors import GraphError
+from repro.graph.ball import HAVE_NUMPY, BallKernel
 
 try:  # numpy-free installs score δ on the pure-Python paths
     from repro.graph.gower_columns import GowerColumn, GowerColumns
@@ -113,6 +114,7 @@ class AttributedGraph:
         self._frozen = False
         self._columnar: Optional["ColumnarStore"] = None
         self._gower: Optional["GowerColumns"] = None
+        self._ball: Optional[BallKernel] = None
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -131,6 +133,7 @@ class AttributedGraph:
         node = Node(node_id, label, dict(attributes or {}))
         self._nodes[node_id] = node
         self._gower = None  # label orders changed
+        self._ball = None
         self._out[node_id] = {}
         self._in[node_id] = {}
         self._by_label.setdefault(label, set()).add(node_id)
@@ -154,6 +157,7 @@ class AttributedGraph:
             self._in[target].setdefault(label, set()).add(source)
             self._edge_count += 1
             self._edge_labels.add(label)
+            self._ball = None
         return Edge(source, target, label)
 
     def freeze(self) -> "AttributedGraph":
@@ -227,6 +231,26 @@ class AttributedGraph:
         )
 
     # ------------------------------------------------------------------ #
+    # d-hop ball kernel
+    # ------------------------------------------------------------------ #
+
+    def ball_kernel(self) -> Optional[BallKernel]:
+        """The graph's :class:`~repro.graph.ball.BallKernel` (built on
+        first use; None without numpy or for ids int64 cannot hold, where
+        :mod:`repro.graph.ball` walks :meth:`neighbors` instead).
+        ``add_node``/``add_edge`` drop it, the in-place edge hooks splice it."""
+        if self._ball is None and HAVE_NUMPY:
+            try:
+                self._ball = BallKernel(self._by_label, self._out)
+            except (OverflowError, TypeError, ValueError):
+                return None
+        return self._ball
+
+    def _splice_ball(self, source: int, target: int, label: str, inserted: bool) -> None:
+        if self._ball is not None:
+            self._ball.splice_edge(source, target, label, inserted, self.neighbors)
+
+    # ------------------------------------------------------------------ #
     # In-place maintenance (streaming layer only)
     # ------------------------------------------------------------------ #
     #
@@ -252,6 +276,7 @@ class AttributedGraph:
         self._edge_labels.add(label)
         if self._columnar is not None:
             self._columnar.patch_edge(source, target, label)
+        self._splice_ball(source, target, label, inserted=True)
         return True
 
     def _delete_edge_in_place(self, source: int, target: int, label: str) -> None:
@@ -274,6 +299,7 @@ class AttributedGraph:
         self._edge_count -= 1
         if self._columnar is not None:
             self._columnar.patch_edge(source, target, label)
+        self._splice_ball(source, target, label, inserted=False)
 
     def _set_attribute_in_place(
         self, node_id: int, name: str, value: Optional[AttrValue]

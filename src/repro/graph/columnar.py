@@ -4,8 +4,8 @@ The dict-of-sets / frozen-dataclass store in
 :mod:`repro.graph.attributed_graph` is convenient to mutate but every hot
 loop of the generation pipeline pays for it per node: adjacency-row masks
 hash through Python sets, literal pools re-evaluate predicates node by
-node, scoring statistics re-hash raw attribute values, and d-hop sampling
-BFS materializes a fresh neighbor set per visit.
+node, and scoring statistics re-hash raw attribute values. (The d-hop
+ball has its own graph-owned kernel, :mod:`repro.graph.ball`.)
 
 :class:`ColumnarStore` is a flat companion representation built once per
 (frozen) graph:
@@ -15,9 +15,9 @@ BFS materializes a fresh neighbor set per visit.
   bit positions), plus cross-index arrays mapping global position →
   label code / label-local position.
 * **CSR adjacency** — per ``(edge label, direction)`` an offsets/targets
-  pair over global positions, built lazily in one pass, plus a combined
-  undirected CSR for BFS. Streaming deltas patch CSRs in place through
-  per-row overrides, so a repaired store never rebuilds.
+  pair over global positions, built lazily in one pass. Streaming deltas
+  patch CSRs in place through per-row overrides, so a repaired store
+  never rebuilds.
 * **Attribute columns** — per ``(label, attribute)`` a value column
   aligned with the label order, with categorical values interned to
   dense integer codes at build time. They feed the compiled predicates
@@ -41,7 +41,6 @@ from bisect import bisect_left, bisect_right
 from typing import (
     Any,
     Dict,
-    FrozenSet,
     Iterable,
     List,
     Optional,
@@ -51,6 +50,7 @@ from typing import (
 )
 
 from repro.graph.attributed_graph import AttributedGraph, AttrValue, _sort_key
+from repro.graph.ball import bits_from_mask, mask_from_bits
 from repro.query.predicates import Literal, Op
 
 try:  # pragma: no cover - exercised implicitly by both CI variants
@@ -65,45 +65,6 @@ HAVE_NUMPY = _np is not None
 MISSING = -1
 #: Column code for "value present but unhashable" (cannot be interned).
 UNHASHABLE = -2
-
-
-# ---------------------------------------------------------------------- #
-# Mask <-> array helpers
-# ---------------------------------------------------------------------- #
-
-
-def bits_from_mask(mask: int, size: int):
-    """Arbitrary-precision mask → numpy bool array of length ``size``."""
-    nbytes = (size + 7) // 8
-    buf = mask.to_bytes(nbytes or 1, "little")
-    bits = _np.unpackbits(
-        _np.frombuffer(buf, dtype=_np.uint8), bitorder="little", count=size
-    )
-    return bits.astype(bool, copy=False)
-
-
-def mask_from_bits(bits) -> int:
-    """Numpy bool array → arbitrary-precision mask (bit i ↔ bits[i])."""
-    if bits.size == 0:
-        return 0
-    packed = _np.packbits(bits, bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
-
-
-def _gather_rows(offsets, targets, rows):
-    """Concatenate CSR rows (numpy): targets[offsets[r]:offsets[r+1]] for r in rows."""
-    starts = offsets[rows]
-    lengths = offsets[rows + 1] - starts
-    total = int(lengths.sum())
-    if total == 0:
-        return _np.empty(0, dtype=targets.dtype)
-    exclusive = _np.cumsum(lengths) - lengths
-    index = (
-        _np.arange(total, dtype=_np.int64)
-        - _np.repeat(exclusive, lengths)
-        + _np.repeat(starts, lengths)
-    )
-    return targets[index]
 
 
 # ---------------------------------------------------------------------- #
@@ -379,7 +340,6 @@ class ColumnarStore:
         else:
             self._label_global = label_global
         self._csr: Dict[Tuple[str, bool], CSRAdjacency] = {}
-        self._und: Optional[CSRAdjacency] = None
         self._columns: Dict[Tuple[str, str], AttributeColumn] = {}
         self._metrics = None
 
@@ -429,27 +389,6 @@ class ColumnarStore:
                     targets.extend(sorted(node_pos[w] for w in neighbors))
                 offsets.append(len(targets))
             csr = self._csr[key] = CSRAdjacency(offsets, targets)
-            self._count("graph.columnar.csr_builds")
-        return csr
-
-    def und_csr(self) -> CSRAdjacency:
-        """Combined undirected CSR (all edge labels, both directions)."""
-        csr = self._und
-        if csr is None:
-            node_pos = self.node_pos
-            graph = self.graph
-            offsets = [0]
-            targets: List[int] = []
-            for node_id in self.node_order:
-                neighbors: Set[int] = set()
-                for targets_of in graph._out.get(node_id, {}).values():
-                    neighbors.update(targets_of)
-                for sources_of in graph._in.get(node_id, {}).values():
-                    neighbors.update(sources_of)
-                if neighbors:
-                    targets.extend(sorted(node_pos[w] for w in neighbors))
-                offsets.append(len(targets))
-            csr = self._und = CSRAdjacency(offsets, targets)
             self._count("graph.columnar.csr_builds")
         return csr
 
@@ -542,53 +481,6 @@ class ColumnarStore:
         for gpos, row in csr.overrides.items():
             row_counts[gpos] = int(member[row].any()) if len(row) else 0
         return mask_from_bits(row_counts[mine_global] > 0)
-
-    # -- d-hop BFS --------------------------------------------------------- #
-
-    def d_hop(self, seeds: Iterable[int], d: int) -> FrozenSet[int]:
-        """Nodes within ``d`` undirected hops of ``seeds`` (CSR BFS).
-
-        Mirrors :func:`repro.graph.sampling.d_hop_neighborhood` exactly,
-        including its tolerance for unknown seed ids (kept in the result,
-        never expanded).
-        """
-        result: Set[int] = set(seeds)
-        known = [self.node_pos[s] for s in result if s in self.node_pos]
-        if d <= 0 or not known:
-            return frozenset(result)
-        und = self.und_csr()
-        if HAVE_NUMPY and not und.overrides:
-            seen = _np.zeros(len(self.node_order), dtype=bool)
-            frontier = _np.unique(_np.asarray(known, dtype=_np.int64))
-            seen[frontier] = True
-            for _ in range(d):
-                neighbors = _gather_rows(und.offsets, und.targets, frontier)
-                if neighbors.size == 0:
-                    break
-                neighbors = _np.unique(neighbors)
-                neighbors = neighbors[~seen[neighbors]]
-                if neighbors.size == 0:
-                    break
-                seen[neighbors] = True
-                frontier = neighbors
-            result.update(self._order_np[seen].tolist())
-            return frozenset(result)
-        seen_positions = set(known)
-        frontier_list = known
-        for _ in range(d):
-            next_frontier: List[int] = []
-            for gpos in frontier_list:
-                for gtarget in und.row(gpos):
-                    gtarget = int(gtarget)
-                    if gtarget not in seen_positions:
-                        seen_positions.add(gtarget)
-                        next_frontier.append(gtarget)
-            if not next_frontier:
-                break
-            frontier_list = next_frontier
-        order = self.node_order
-        result.update(order[gpos] for gpos in seen_positions)
-        return frozenset(result)
 
     # -- Attribute columns ------------------------------------------------- #
 
@@ -687,12 +579,6 @@ class ColumnarStore:
             neighbors = adjacency.get(anchor, {}).get(label, ())
             csr.overrides[self.node_pos[anchor]] = self._row_from_ids(neighbors)
             patched = True
-        if self._und is not None:
-            for node_id in (source, target):
-                self._und.overrides[self.node_pos[node_id]] = self._row_from_ids(
-                    self.graph.neighbors(node_id)
-                )
-            patched = True
         if patched:
             self._count("graph.columnar.csr_patches")
 
@@ -710,7 +596,7 @@ class ColumnarStore:
     # -- Warming ------------------------------------------------------------ #
 
     def warm(self) -> None:
-        """Pre-build every CSR (both directions) plus the undirected CSR.
+        """Pre-build every CSR (both directions).
 
         Attribute columns stay lazy — their key space is
         workload-dependent (see :meth:`GraphIndexes.warm`).
@@ -718,7 +604,6 @@ class ColumnarStore:
         for edge_label in self.graph.edge_labels():
             self.csr(edge_label, True)
             self.csr(edge_label, False)
-        self.und_csr()
 
     # -- Introspection ------------------------------------------------------ #
 

@@ -22,7 +22,7 @@ from typing import Any, FrozenSet, Set, Tuple
 from repro.errors import GraphError
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.builder import GraphBuilder
-from repro.graph.sampling import d_hop_neighborhood
+from repro.graph.ball import d_hop_ball
 from repro.matching.matcher import SubgraphMatcher
 from repro.query.instance import QueryInstance
 
@@ -164,6 +164,11 @@ def invert_delta(graph: AttributedGraph, delta: GraphDelta) -> GraphDelta:
 class IncrementalMatchMaintainer:
     """Maintains ``q(G)`` across deltas for one query instance.
 
+    Each :meth:`apply` materializes ``G ⊕ Δ`` and repairs the answer with
+    :func:`~repro.streaming.reverify.reverify_matches` over the two-sided
+    ball of the touched nodes — the streaming session's repair, for one
+    instance and without scoring.
+
     Example:
         >>> maintainer = IncrementalMatchMaintainer(graph, instance)
         >>> matches = maintainer.matches  # Initial full verification.
@@ -172,41 +177,25 @@ class IncrementalMatchMaintainer:
     """
 
     def __init__(self, graph: AttributedGraph, instance: QueryInstance) -> None:
+        # repro.streaming imports this module (GraphDelta): import lazily.
+        from repro.streaming.reverify import instance_diameter
+
         self.graph = graph
         self.instance = instance
-        self._diameter = self._instance_diameter(instance)
+        self._diameter = instance_diameter(instance)
         self.matches: FrozenSet[int] = SubgraphMatcher(graph).match(instance).matches
         #: Re-verified candidates on the last apply (work metric for tests).
         self.last_rechecked = 0
-
-    @staticmethod
-    def _instance_diameter(instance: QueryInstance) -> int:
-        """Diameter of the instance's active query graph."""
-        from collections import deque
-
-        adjacency = instance.adjacency()
-        best = 0
-        for start in instance.active_nodes:
-            depth = {start: 0}
-            frontier = deque([start])
-            while frontier:
-                current = frontier.popleft()
-                for neighbor, _, _ in adjacency[current]:
-                    if neighbor not in depth:
-                        depth[neighbor] = depth[current] + 1
-                        frontier.append(neighbor)
-            best = max(best, max(depth.values(), default=0))
-        return best
 
     def apply(self, delta: GraphDelta) -> AttributedGraph:
         """Apply a delta; updates :attr:`matches` with localized work.
 
         Returns the new graph (which becomes the maintainer's current one).
-        The old-graph side of the influence ball rides the columnar CSR
-        BFS when the maintained graph has a store built; the new graph is
-        freshly materialized and walks the dict BFS (same balls — the two
-        paths are pinned equal by the sampling differential tests).
+        The old and new graphs share their node set, so the old-side and
+        new-side balls share one enumeration and union bit by bit.
         """
+        from repro.streaming.reverify import reverify_matches
+
         if delta.is_empty:
             self.last_rechecked = 0
             return self.graph
@@ -214,28 +203,11 @@ class IncrementalMatchMaintainer:
         touched = delta.touched_nodes
         # Two-sided influence ball: old-graph reachability covers lost
         # support, new-graph reachability covers gained support.
-        ball = d_hop_neighborhood(self.graph, touched, self._diameter) | (
-            d_hop_neighborhood(new_graph, touched, self._diameter)
+        ball = d_hop_ball(self.graph, touched, self._diameter) | d_hop_ball(
+            new_graph, touched, self._diameter
         )
-        unchanged = frozenset(v for v in self.matches if v not in ball)
-
-        output = self.instance.output_node
-        label = self.instance.node_label(output)
-        pool = {
-            v
-            for v in new_graph.nodes_with_label(label)
-            if v in ball
-            and all(
-                literal.holds_for(new_graph.attribute(v, literal.attribute))
-                for literal in self.instance.literals_on(output)
-            )
-        }
-        self.last_rechecked = len(pool)
-        rechecked: FrozenSet[int] = frozenset()
-        if pool:
-            matcher = SubgraphMatcher(new_graph)
-            rechecked = matcher.match(self.instance, restrict={output: pool}).matches
-
-        self.matches = unchanged | rechecked
+        self.matches, self.last_rechecked = reverify_matches(
+            SubgraphMatcher(new_graph), new_graph, self.instance, self.matches, ball
+        )
         self.graph = new_graph
         return new_graph

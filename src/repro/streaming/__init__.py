@@ -16,12 +16,7 @@ from repro.streaming.graph_ops import (
     apply_delta_in_place,
     graph_signature,
 )
-from repro.streaming.reverify import (
-    ball_of,
-    influence_depths,
-    instance_diameter,
-    reverify_matches,
-)
+from repro.streaming.reverify import instance_diameter, reverify_matches
 from repro.streaming.session import StreamingSession, UpdateReport
 
 __all__ = [
@@ -32,9 +27,7 @@ __all__ = [
     "UpdateEvent",
     "UpdateReport",
     "apply_delta_in_place",
-    "ball_of",
     "graph_signature",
-    "influence_depths",
     "instance_diameter",
     "reverify_matches",
 ]

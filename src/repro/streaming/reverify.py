@@ -7,13 +7,13 @@ status if a touched endpoint sits within ``d`` hops of ``v`` — in the
 *old* graph (support that was lost) or the *new* one (support that
 appeared). The streaming session therefore:
 
-1. runs one bounded BFS from the touched nodes on the old graph (before
-   the in-place mutation) and one on the new graph (after), each to the
-   maximum diameter across the ledger — :func:`influence_depths`;
-2. derives the two-sided ball of *each* distinct diameter by filtering the
-   depth maps — :func:`ball_of` — one BFS pair serving every entry;
+1. walks the graph's ball kernel once from the touched nodes before the
+   in-place mutation and once after, each to the maximum diameter across
+   the ledger (:func:`~repro.graph.ball.ball_depths`);
+2. reads the two-sided ball of *each* distinct diameter off the two
+   depth vectors — one walk pair serving every entry;
 3. repairs each maintained answer with
-   ``new = (old − ball) ∪ match(instance, restrict=ball ∩ pool)`` —
+   ``new = (old − ball) ∪ match(instance, restrict=ball ∧ pool)`` —
    :func:`reverify_matches` — re-running the matcher only over the ball.
 
 Attribute updates ride the same machinery: their influence is the updated
@@ -24,50 +24,29 @@ contains by construction (touched seeds are depth 0).
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, Set, Tuple
+from typing import FrozenSet, Tuple
 
 from repro.graph.attributed_graph import AttributedGraph
-from repro.matching.delta import IncrementalMatchMaintainer
+from repro.graph.ball import Ball, mask_ball
 from repro.matching.matcher import SubgraphMatcher
 from repro.query.instance import QueryInstance
 
 
 def instance_diameter(instance: QueryInstance) -> int:
     """Diameter of the instance's active query graph (locality radius)."""
-    return IncrementalMatchMaintainer._instance_diameter(instance)
-
-
-def influence_depths(
-    graph: AttributedGraph, seeds: Iterable[int], limit: int
-) -> Dict[int, int]:
-    """Undirected BFS depth of every node within ``limit`` hops of a seed.
-
-    Seeds sit at depth 0. One call at the *maximum* ledger diameter feeds
-    the balls of every smaller diameter (a node is within ``d`` hops iff
-    its depth is ≤ ``d``), so the per-update BFS cost is paid once, not
-    once per maintained instance.
-    """
-    depths: Dict[int, int] = {node: 0 for node in seeds}
-    frontier = deque(depths)
-    while frontier:
-        current = frontier.popleft()
-        depth = depths[current]
-        if depth == limit:
-            continue
-        for neighbor in graph.neighbors(current):
-            if neighbor not in depths:
-                depths[neighbor] = depth + 1
-                frontier.append(neighbor)
-    return depths
-
-
-def ball_of(
-    old_depths: Dict[int, int], new_depths: Dict[int, int], diameter: int
-) -> FrozenSet[int]:
-    """The two-sided influence ball at ``diameter`` from two depth maps."""
-    return frozenset(
-        node for node, depth in old_depths.items() if depth <= diameter
-    ) | frozenset(node for node, depth in new_depths.items() if depth <= diameter)
+    adjacency = instance.adjacency()
+    best = 0
+    for start in instance.active_nodes:
+        depth = {start: 0}
+        frontier = deque([start])
+        while frontier:
+            current = frontier.popleft()
+            for neighbor, _, _ in adjacency[current]:
+                if neighbor not in depth:
+                    depth[neighbor] = depth[current] + 1
+                    frontier.append(neighbor)
+        best = max(best, max(depth.values(), default=0))
+    return best
 
 
 def reverify_matches(
@@ -75,7 +54,7 @@ def reverify_matches(
     graph: AttributedGraph,
     instance: QueryInstance,
     old_matches: FrozenSet[int],
-    ball: FrozenSet[int],
+    ball: Ball,
 ) -> Tuple[FrozenSet[int], int]:
     """Repair one maintained answer set against the mutated graph.
 
@@ -84,36 +63,27 @@ def reverify_matches(
     ``rechecked`` is the size of the re-verified candidate pool — the work
     metric the ``streaming.instances_rechecked`` counter accumulates.
     """
-    unchanged = frozenset(v for v in old_matches if v not in ball)
     output = instance.output_node
     label = instance.node_label(output)
-    pool: Set[int] = {
-        v
-        for v in graph.nodes_with_label(label)
-        if v in ball
-        and all(
-            literal.holds_for(graph.attribute(v, literal.attribute))
-            for literal in instance.literals_on(output)
-        )
-    }
+    bitsets = matcher.indexes.bitsets
+    unchanged = ball.outside(label, old_matches)
+    pool = ball.mask(label, bitsets)
+    literal_pools = matcher.engine.literal_pools
+    for literal in instance.literals_on(output):
+        if not pool:
+            break
+        pool &= literal_pools.mask(label, literal)
     if not pool:
         return unchanged, 0
     # Every witness of a pool node lies within the instance's diameter of
     # it (template edges map to graph edges), so the non-output variables
-    # can be confined to a BFS ball around the pool — this keeps the
-    # matcher's arc-consistency pass local instead of O(graph). Restrict
-    # pools bypass the label index, so filter by label here.
-    witness_ball = influence_depths(
-        graph, pool, limit=instance_diameter(instance)
-    ).keys()
-    by_label: Dict[str, Set[int]] = {}
-    for v in witness_ball:
-        by_label.setdefault(graph.label(v), set()).add(v)
+    # can be confined to the ball around the pool — this keeps the
+    # matcher's arc-consistency pass local instead of O(graph).
+    witness = mask_ball(graph, label, pool, instance_diameter(instance), bitsets)
     restrict = {
-        node_id: by_label.get(instance.node_label(node_id), set())
+        node_id: witness.mask(instance.node_label(node_id), bitsets)
         for node_id in instance.active_nodes
-        if node_id != output
     }
     restrict[output] = pool
-    rechecked = matcher.match(instance, restrict=restrict).matches
-    return unchanged | rechecked, len(pool)
+    rechecked = matcher.match(instance, restrict_masks=restrict).matches
+    return unchanged | rechecked, pool.bit_count()

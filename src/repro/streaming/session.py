@@ -45,6 +45,7 @@ from repro.core.relevance import ConstantRelevance
 from repro.core.update import EpsilonParetoArchive
 from repro.errors import ConfigurationError
 from repro.graph.attributed_graph import AttributedGraph
+from repro.graph.ball import Ball, BallDepths, ball_depths
 from repro.groups.system import (
     EMPTY_MEMBERSHIP_DIFF,
     GroupSystem,
@@ -63,12 +64,7 @@ from repro.runtime.faults import FaultInjectionError, FaultInjector
 from repro.service.context import GraphContext
 from repro.streaming.events import GenerateEvent, OfferEvent, UpdateEvent
 from repro.streaming.graph_ops import DeltaReceipt
-from repro.streaming.reverify import (
-    ball_of,
-    influence_depths,
-    instance_diameter,
-    reverify_matches,
-)
+from repro.streaming.reverify import instance_diameter, reverify_matches
 from repro.workload.stream import random_instance_stream
 
 #: Counters the session pre-registers so snapshots and regression
@@ -295,13 +291,13 @@ class StreamingSession:
         tick = time.perf_counter()
         self._updates += 1
 
-        # Phase 0 — pre-mutation reads: old-side influence depths, the
+        # Phase 0 — pre-mutation reads: the old-side ball walk, the
         # spread snapshot of scoring-relevant touched attributes, and the
         # pre-update value of every attribute the delta rewrites (all must
         # see the graph before it changes; the old values feed both the
         # carrier-refcount maintenance and the surgical score patches).
         max_diameter = max((e.diameter for e in self.ledger), default=0)
-        old_depths = influence_depths(self.graph, delta.touched_nodes, max_diameter)
+        old_depths = ball_depths(self.graph, delta.touched_nodes, max_diameter)
         relevant_attrs, universe_sensitive = self._scoring_relevant_attributes(delta)
         distance = self.evaluator.diversity.distance
         old_spreads = {name: distance.ranges.spread(name) for name in relevant_attrs}
@@ -313,11 +309,12 @@ class StreamingSession:
                 old_values[pair] = self.graph.attributes(node).get(name)
             final_values[pair] = value
 
-        # Phase 1 — mutate the pinned graph; repair shared indexes and the
-        # workload literal-pool tier (context-owned), then the evaluator's
-        # engine-local masks and match memos.
+        # Phase 1 — mutate the pinned graph (its ball kernel splices the
+        # touched rows in place) and walk the new-side ball; repair shared
+        # indexes and the workload literal-pool tier (context-owned), then
+        # the evaluator's engine-local masks and match memos.
         receipt = self.context.apply_delta_in_place(delta)
-        new_depths = influence_depths(self.graph, delta.touched_nodes, max_diameter)
+        new_depths = ball_depths(self.graph, delta.touched_nodes, max_diameter)
         self.evaluator.invalidate_matches()
         self.evaluator.matcher.repair_literal_pools(
             receipt.touched_attributes, touched_nodes=receipt.touched_nodes
@@ -577,8 +574,8 @@ class StreamingSession:
     def _repair_ledger(
         self,
         receipt: DeltaReceipt,
-        old_depths: Dict[int, int],
-        new_depths: Dict[int, int],
+        old_depths: BallDepths,
+        new_depths: BallDepths,
         full_rescore: bool,
         score_touched: FrozenSet[int],
         budget: Optional[Budget],
@@ -590,7 +587,7 @@ class StreamingSession:
         engine state on the patch path, a rebuild on the fallback path.
         """
         guard = self._guard_for(budget)
-        balls: Dict[int, FrozenSet[int]] = {}
+        balls: Dict[int, Ball] = {}
         rechecked = skipped = changed = rescored = kept = 0
         matcher = self.evaluator.matcher
         graph = self.graph
@@ -600,9 +597,9 @@ class StreamingSession:
             guard.checkpoint()
             ball = balls.get(entry.diameter)
             if ball is None:
-                ball = balls[entry.diameter] = ball_of(
-                    old_depths, new_depths, entry.diameter
-                )
+                ball = balls[entry.diameter] = old_depths.ball(
+                    entry.diameter
+                ) | new_depths.ball(entry.diameter)
             old = entry.evaluated
             matches, pool_size = reverify_matches(
                 matcher, graph, old.instance, old.matches, ball

@@ -8,7 +8,7 @@ Two contracts, each pinned by construction against its dict-based twin:
   typed sort-key order and :meth:`AttributeIndex.matching_nodes`.
 * **CSR repair** — after an arbitrary sequence of in-place
   :class:`GraphDelta` applications (edge inserts/deletes, attribute
-  updates with removals), every patched CSR row, undirected row, column
+  updates with removals), every patched CSR row, column
   cell and compiled mask equals the one a freshly built store computes on
   the mutated graph.
 """
@@ -206,11 +206,6 @@ class TestCSRRepair:
                     assert list(map(int, patched.row(gpos))) == list(
                         map(int, rebuilt.row(gpos))
                     )
-        for node_id in graph._nodes:
-            row = store.und_csr().row(store.node_pos[node_id])
-            assert {store.node_order[int(g)] for g in row} == graph.neighbors(
-                node_id
-            )
         for label in graph.node_labels():
             patched_col = store.column(label, "v")
             rebuilt_col = fresh.column(label, "v")

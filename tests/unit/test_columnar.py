@@ -23,7 +23,6 @@ from repro.graph.columnar import (
     mask_from_bits,
 )
 from repro.graph.indexes import BitsetIndex, GraphIndexes
-from repro.graph.sampling import d_hop_neighborhood
 from repro.graph.statistics import compute_statistics
 from repro.matching.delta import GraphDelta
 from repro.obs.registry import MetricsRegistry
@@ -114,15 +113,6 @@ class TestCSR:
                     row = csr.row(store.node_pos[node_id])
                     got = {store.node_order[int(g)] for g in row}
                     assert got == set(expected)
-
-    def test_und_rows_equal_neighbors(self):
-        graph = sample_graph()
-        store = store_of(graph)
-        und = store.und_csr()
-        for node_id in graph._nodes:
-            row = und.row(store.node_pos[node_id])
-            got = {store.node_order[int(g)] for g in row}
-            assert got == graph.neighbors(node_id)
 
     def test_adjacency_mask_equals_bitset_rows(self):
         graph = sample_graph()
@@ -246,25 +236,6 @@ class TestAttributeStatsFromValues:
         assert list(bulk.counts) == list(incremental.counts)
 
 
-class TestDhop:
-    def test_matches_dict_bfs(self):
-        plain = sample_graph()
-        graph = sample_graph()
-        GraphIndexes(graph).enable_columnar()
-        for seeds in ([0], [3, 8], [5], list(plain._nodes)):
-            for d in range(4):
-                assert d_hop_neighborhood(graph, seeds, d) == d_hop_neighborhood(
-                    plain, seeds, d
-                )
-
-    def test_unknown_seeds_kept_unexpanded(self):
-        graph = sample_graph()
-        GraphIndexes(graph).enable_columnar()
-        ball = d_hop_neighborhood(graph, [0, 999], 1)
-        assert 999 in ball
-        assert ball - {999} == d_hop_neighborhood(sample_graph(), [0], 1)
-
-
 class TestInPlaceRepair:
     def delta(self):
         return GraphDelta(
@@ -301,15 +272,6 @@ class TestInPlaceRepair:
                         assert patched.compiled().mask_for(
                             op, constant
                         ) == expected.compiled().mask_for(op, constant)
-
-    def test_und_csr_patched(self):
-        graph = sample_graph()
-        store = store_of(graph)
-        store.und_csr()
-        apply_delta_in_place(graph, self.delta())
-        for node_id in graph._nodes:
-            row = store.und_csr().row(store.node_pos[node_id])
-            assert {store.node_order[int(g)] for g in row} == graph.neighbors(node_id)
 
     def test_metrics_count_patches(self):
         graph = sample_graph()

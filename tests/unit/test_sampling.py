@@ -1,14 +1,9 @@
-"""Unit tests for d-hop neighborhoods and induced subgraphs."""
+"""Unit tests for d-hop neighborhoods (the id-set view) and induced subgraphs."""
 
 import pytest
 
 from repro.graph.builder import GraphBuilder
-from repro.graph.sampling import (
-    NeighborhoodView,
-    d_hop_neighborhood,
-    induced_subgraph,
-    neighborhood_view,
-)
+from repro.graph.sampling import d_hop_neighborhood, induced_subgraph
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +30,10 @@ class TestDHop:
     def test_saturation(self, path_graph):
         assert d_hop_neighborhood(path_graph, [2], 10) == {0, 1, 2, 3, 4}
 
+    def test_unknown_seeds_kept_unexpanded(self, path_graph):
+        ball = d_hop_neighborhood(path_graph, [0, 999], 1)
+        assert ball == {0, 1, 999}
+
 
 class TestInducedSubgraph:
     def test_keeps_internal_edges_only(self, path_graph):
@@ -53,22 +52,3 @@ class TestInducedSubgraph:
 
         with pytest.raises(GraphError):
             sub.add_node(99, "x")
-
-
-class TestNeighborhoodView:
-    def test_membership(self, path_graph):
-        view = neighborhood_view(path_graph, [2], 1)
-        assert 1 in view and 2 in view and 0 not in view
-        assert len(view) == 3
-
-    def test_attribute_values_scoped(self, path_graph):
-        view = neighborhood_view(path_graph, [2], 1)
-        # Nodes 1 (b) and 3 (b) are in the ball; their pos values show up.
-        assert view.attribute_values("b", "pos") == {1, 3}
-        assert view.attribute_values("a", "pos") == {2}
-
-    def test_has_labeled_edge(self, path_graph):
-        view = neighborhood_view(path_graph, [2], 1)
-        assert view.has_labeled_edge("next")  # 1->2 and 2->3 are internal.
-        tiny = neighborhood_view(path_graph, [0], 0)
-        assert not tiny.has_labeled_edge("next")

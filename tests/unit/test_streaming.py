@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.relevance import RelevanceScorer
 from repro.errors import ConfigurationError, GraphError
+from repro.graph.ball import ball_depths
 from repro.graph.builder import GraphBuilder
 from repro.groups import GroupSet, NodeGroup
 from repro.matching.delta import GraphDelta
@@ -24,7 +25,7 @@ from repro.streaming import (
     apply_delta_in_place,
     graph_signature,
 )
-from repro.streaming.reverify import ball_of, influence_depths, instance_diameter
+from repro.streaming.reverify import instance_diameter
 
 
 def chain_graph(n=4):
@@ -103,15 +104,17 @@ class TestApplyInPlace:
 
 class TestInfluence:
     def test_depths_bounded(self):
-        graph = chain_graph(6)
-        depths = influence_depths(graph, {0}, limit=2)
-        assert depths == {0: 0, 1: 1, 2: 2}
+        depths = ball_depths(chain_graph(6), {0}, limit=2)
+        assert [depths.ball(d).ids() for d in range(4)] == [
+            {0}, {0, 1}, {0, 1, 2}, {0, 1, 2}
+        ]
 
     def test_ball_is_two_sided_union(self):
-        old = {0: 0, 1: 1, 2: 2}
-        new = {5: 0, 4: 1}
-        assert ball_of(old, new, 1) == {0, 1, 5, 4}
-        assert ball_of(old, new, 0) == {0, 5}
+        graph = chain_graph(6)
+        old = ball_depths(graph, {0}, limit=2)
+        new = ball_depths(graph, {5}, limit=2)
+        assert (old.ball(1) | new.ball(1)).ids() == {0, 1, 5, 4}
+        assert (old.ball(0) | new.ball(0)).ids() == {0, 5}
 
     def test_instance_diameter(self):
         assert instance_diameter(instance()) == 2
