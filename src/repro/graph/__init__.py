@@ -10,20 +10,12 @@ streaming repair), builders,
 (de)serialization and summary statistics (Table II). With numpy, the graph
 also owns the numeric per-(label, attribute) columns of the δ kernel
 (:mod:`repro.graph.gower_columns`).
-
-The columnar core (:mod:`repro.graph.columnar`) is the flat companion of
-all of it: CSR adjacency per (edge label, direction), interned attribute
-value columns and compiled per-column predicate masks, built once per
-frozen graph and repaired in place under streaming deltas. It is opt-in
-(``GraphIndexes(graph, columnar=True)`` / ``GraphIndexes.enable_columnar``,
-which also switch the matcher to its columnar engine) and
-bit-for-bit compatible with the dict-based paths.
 """
 
 from repro.graph.attributed_graph import AttributedGraph, Edge, Node
 from repro.graph.builder import GraphBuilder
 from repro.graph.active_domain import ActiveDomainIndex
-from repro.graph.columnar import HAVE_NUMPY, AttributeColumn, ColumnarStore
+from repro.graph.ball import HAVE_NUMPY
 from repro.graph.indexes import AttributeIndex
 from repro.graph.sampling import d_hop_neighborhood, induced_subgraph
 from repro.graph.statistics import GraphStatistics, compute_statistics
@@ -41,8 +33,6 @@ __all__ = [
     "GraphBuilder",
     "AttributeIndex",
     "ActiveDomainIndex",
-    "ColumnarStore",
-    "AttributeColumn",
     "HAVE_NUMPY",
     "d_hop_neighborhood",
     "induced_subgraph",

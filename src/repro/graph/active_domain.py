@@ -72,11 +72,7 @@ class ActiveDomainIndex:
         """Values for ``variable``, most relaxed first.
 
         The raw active domain comes from
-        :meth:`AttributedGraph.active_domain`, which reads the interned
-        value column of the columnar store when one is built (one
-        set-over-column pass instead of a per-node attribute-dict scan) —
-        the value tuple is identical either way, so cached domains never
-        depend on whether the store existed at build time.
+        :meth:`AttributedGraph.active_domain`.
         """
         if variable in self._overrides:
             return self._overrides[variable]

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     Any,
     Dict,
     FrozenSet,
@@ -41,9 +40,6 @@ try:  # numpy-free installs score δ on the pure-Python paths
     from repro.graph.gower_columns import GowerColumn, GowerColumns
 except ImportError:  # pragma: no cover - exercised by the numpy-free CI matrix
     GowerColumns = None
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.graph.columnar import ColumnarStore
 
 #: Type alias for attribute values stored on nodes.
 AttrValue = Any
@@ -112,7 +108,6 @@ class AttributedGraph:
         self._edge_count = 0
         self._edge_labels: Set[str] = set()
         self._frozen = False
-        self._columnar: Optional["ColumnarStore"] = None
         self._gower: Optional["GowerColumns"] = None
         self._ball: Optional[BallKernel] = None
 
@@ -168,36 +163,6 @@ class AttributedGraph:
     def _check_mutable(self) -> None:
         if self._frozen:
             raise GraphError("graph is frozen; build a new graph instead")
-
-    # ------------------------------------------------------------------ #
-    # Columnar companion store
-    # ------------------------------------------------------------------ #
-
-    def columnar(self) -> "ColumnarStore":
-        """The graph's :class:`~repro.graph.columnar.ColumnarStore`.
-
-        Built lazily on first use and cached for the graph's lifetime; the
-        node enumeration is fixed at build time, so the graph must be
-        frozen first (in-place streaming deltas never add or remove nodes
-        and patch the store through the ``_*_in_place`` hooks below).
-        """
-        store = self._columnar
-        if store is None:
-            if not self._frozen:
-                raise GraphError("columnar store requires a frozen graph")
-            from repro.graph.columnar import ColumnarStore
-
-            store = self._columnar = ColumnarStore(self)
-        return store
-
-    def columnar_store(self) -> Optional["ColumnarStore"]:
-        """The columnar store if one has been built, else None.
-
-        Fast-path gates use this accessor: optional accelerations only
-        engage once something (an engine, the service context) has paid
-        for the build, keeping default runs byte-identical.
-        """
-        return self._columnar
 
     # ------------------------------------------------------------------ #
     # Gower columns (the vectorised δ kernel's input)
@@ -274,8 +239,6 @@ class AttributedGraph:
         self._in[target].setdefault(label, set()).add(source)
         self._edge_count += 1
         self._edge_labels.add(label)
-        if self._columnar is not None:
-            self._columnar.patch_edge(source, target, label)
         self._splice_ball(source, target, label, inserted=True)
         return True
 
@@ -297,8 +260,6 @@ class AttributedGraph:
         if not sources:
             del self._in[target][label]
         self._edge_count -= 1
-        if self._columnar is not None:
-            self._columnar.patch_edge(source, target, label)
         self._splice_ball(source, target, label, inserted=False)
 
     def _set_attribute_in_place(
@@ -318,8 +279,6 @@ class AttributedGraph:
         else:
             attributes[name] = value
         self._nodes[node_id] = Node(node_id, node.label, attributes)
-        if self._columnar is not None:
-            self._columnar.patch_attribute(node_id, name)
         if self._gower is not None:
             self._gower.patch(
                 node.label, name, node_id, value, self._by_label[node.label], self._nodes
@@ -474,14 +433,6 @@ class AttributedGraph:
         which is the domain the spawner actually enumerates (predicates are
         anchored at a labeled query node).
         """
-        if label is not None and self._columnar is not None:
-            # Column scan: same value set (a set-dedup over the column is a
-            # set-dedup over the label's nodes), without per-node dict hops.
-            column = self._columnar.column(label, attribute)
-            if column is not None:
-                values = set(column.values)
-                values.discard(None)
-                return sorted(values, key=_sort_key)
         ids: Iterable[int]
         if label is None:
             ids = self._nodes.keys()

@@ -12,7 +12,8 @@ the ball through one walk:
   enumeration is therefore bit-compatible with the
   :class:`~repro.graph.indexes.BitsetIndex` positions and with
   ``graph.gower_order(label)``. Per edge label it also keeps the edges'
-  endpoint positions. The kernel belongs to one graph
+  endpoint positions, which the matcher's AC-3 support sweeps read
+  (:meth:`BallKernel.support`). The kernel belongs to one graph
   (``graph.ball_kernel()``: built lazily, dropped by ``add_node`` /
   ``add_edge``, spliced in place by the streaming edge hooks) and holds no
   reference back to it.
@@ -68,6 +69,11 @@ def mask_from_bits(bits) -> int:
     if bits.size == 0:
         return 0
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def mask_positions(mask: int, size: int) -> List[int]:
+    """The set bit positions of ``mask`` (< ``size``), ascending."""
+    return np.flatnonzero(bits_from_mask(mask, size)).tolist()
 
 
 def _id_array(ids) -> "np.ndarray":
@@ -180,6 +186,30 @@ class BallKernel:
         seen = np.zeros(len(self.order), dtype=bool)
         seen[self.positions(ids)] = True
         return seen
+
+    def edge_count(self, edge_label: str) -> int:
+        """Number of ``edge_label`` edges."""
+        ends = self.edges.get(edge_label)
+        return 0 if ends is None else len(ends[0])
+
+    def support(
+        self, label: str, edge_label: str, outgoing: bool, other_label: str, other_mask: int
+    ) -> int:
+        """AC-3 support of one query-edge constraint in one pass over the
+        ``edge_label`` edges: the mask (over ``label``'s slice) of the nodes
+        with an ``edge_label`` edge to (``outgoing``) or from a node of
+        ``other_mask`` (over ``other_label``'s slice)."""
+        span = self.spans.get(label)
+        other = self.spans.get(other_label)
+        ends = self.edges.get(edge_label)
+        if span is None or other is None or ends is None:
+            return 0
+        mine, theirs = ends if outgoing else ends[::-1]
+        member = np.zeros(len(self.order), dtype=bool)
+        member[other[0] : other[1]] = bits_from_mask(other_mask, other[1] - other[0])
+        support = np.zeros(len(self.order), dtype=bool)
+        support[mine[member[theirs]]] = True
+        return mask_from_bits(support[span[0] : span[1]])
 
     # -- In-place repair (streaming edge hooks) ------------------------- #
 

@@ -17,13 +17,11 @@ and support checks become single AND operations.
 from __future__ import annotations
 
 import bisect
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.graph.attributed_graph import AttributedGraph, _sort_key
+from repro.graph.ball import HAVE_NUMPY, mask_positions
 from repro.query.predicates import Op
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.graph.columnar import ColumnarStore
 
 
 class AttributeIndex:
@@ -69,43 +67,56 @@ class AttributeIndex:
                 dropped += 1
         return dropped
 
-    def matching_nodes(self, label: str, attribute: str, op: Op, constant: Any) -> Set[int]:
-        """Node ids with ``label`` whose ``attribute op constant`` holds."""
-        keys, ids = self._table(label, attribute)
+    def _bounds(self, keys: List[Any], op: Op, constant: Any) -> Tuple[int, int, bool]:
+        """``[lo, hi)`` of the sorted ``keys`` where ``value op constant``
+        can hold, plus whether that slice must still be filtered.
+
+        A literal only holds between values of the constant's type group
+        (numbers and bools form one group, each other type its own; see
+        :meth:`~repro.query.predicates.Op.evaluate`), so the slice never
+        leaves the group. Within the number and ``str`` groups the sort
+        keys follow native order and the slice is exact; for any other
+        constant (or NaN) it is the whole group, to be filtered with the
+        literal itself, since ``str()`` order is not native order.
+        """
         pivot = _sort_key(constant)
+        start = bisect.bisect_left(keys, pivot[:2])
+        stop = bisect.bisect_left(keys, (pivot[0], pivot[1] + "\0"))
+        if not isinstance(constant, (int, float, str)) or constant != constant:
+            return start, stop, True
         if op is Op.GE:
-            lo = bisect.bisect_left(keys, pivot)
-            return set(ids[lo:])
+            return bisect.bisect_left(keys, pivot, start, stop), stop, False
         if op is Op.GT:
-            lo = bisect.bisect_right(keys, pivot)
-            return set(ids[lo:])
+            return bisect.bisect_right(keys, pivot, start, stop), stop, False
         if op is Op.LE:
-            hi = bisect.bisect_right(keys, pivot)
-            return set(ids[:hi])
+            return start, bisect.bisect_right(keys, pivot, start, stop), False
         if op is Op.LT:
-            hi = bisect.bisect_left(keys, pivot)
-            return set(ids[:hi])
+            return start, bisect.bisect_left(keys, pivot, start, stop), False
         if op is Op.EQ:
-            lo = bisect.bisect_left(keys, pivot)
-            hi = bisect.bisect_right(keys, pivot)
-            return set(ids[lo:hi])
+            return (
+                bisect.bisect_left(keys, pivot, start, stop),
+                bisect.bisect_right(keys, pivot, start, stop),
+                False,
+            )
         raise ValueError(f"unsupported operator {op}")  # pragma: no cover
+
+    def _matching(self, label: str, attribute: str, op: Op, constant: Any) -> List[int]:
+        keys, ids = self._table(label, attribute)
+        lo, hi, filtered = self._bounds(keys, op, constant)
+        if not filtered:
+            return ids[lo:hi]
+        attribute_of = self._graph.attribute
+        return [v for v in ids[lo:hi] if op.evaluate(attribute_of(v, attribute), constant)]
+
+    def matching_nodes(self, label: str, attribute: str, op: Op, constant: Any) -> Set[int]:
+        """Node ids with ``label`` whose ``attribute op constant`` holds
+        (exactly the nodes :meth:`~repro.query.predicates.Literal.holds_for`
+        accepts)."""
+        return set(self._matching(label, attribute, op, constant))
 
     def count_matching(self, label: str, attribute: str, op: Op, constant: Any) -> int:
         """Selectivity counter: how many nodes satisfy the literal."""
-        keys, _ = self._table(label, attribute)
-        pivot = _sort_key(constant)
-        if op is Op.GE:
-            return len(keys) - bisect.bisect_left(keys, pivot)
-        if op is Op.GT:
-            return len(keys) - bisect.bisect_right(keys, pivot)
-        if op is Op.LE:
-            return bisect.bisect_right(keys, pivot)
-        if op is Op.LT:
-            return bisect.bisect_left(keys, pivot)
-        if op is Op.EQ:
-            return bisect.bisect_right(keys, pivot) - bisect.bisect_left(keys, pivot)
-        raise ValueError(f"unsupported operator {op}")  # pragma: no cover
+        return len(self._matching(label, attribute, op, constant))
 
     def values(self, label: str, attribute: str) -> List[Any]:
         """Sorted distinct values of ``attribute`` over nodes with ``label``."""
@@ -117,6 +128,12 @@ class AttributeIndex:
                 out.append(self._graph.attribute(node_id, attribute))
                 previous = key
         return out
+
+
+#: Masks with at least this many set bits materialize ids in one numpy
+#: pass; sparser ones walk their bits, since the pass has a fixed cost of
+#: about 16 bit steps on a 4k-node label.
+VECTOR_TO_IDS_BITS = 16
 
 
 class BitsetIndex:
@@ -138,17 +155,6 @@ class BitsetIndex:
         self._position: Dict[str, Dict[int, int]] = {}
         self._full: Dict[str, int] = {}
         self._rows: Dict[Tuple[str, str, bool, str], List[Optional[int]]] = {}
-        self._store: Optional["ColumnarStore"] = None
-
-    def use_store(self, store: "ColumnarStore") -> None:
-        """Back this index with a columnar store.
-
-        Adjacency rows are then derived from CSR slices and mask
-        materialization is vectorized; the per-label enumerations are
-        shared with the store (both sort ids ascending), so every mask
-        stays bit-compatible with the store-less index.
-        """
-        self._store = store
 
     # -- Enumeration ----------------------------------------------------- #
 
@@ -156,11 +162,7 @@ class BitsetIndex:
         """Node ids of ``label`` in bit-position order (ascending ids)."""
         cached = self._order.get(label)
         if cached is None:
-            if self._store is not None:
-                cached = self._store.label_orders.get(label)
-            if cached is None:
-                cached = tuple(sorted(self._graph.nodes_with_label(label)))
-            self._order[label] = cached
+            cached = self._order[label] = tuple(sorted(self._graph.nodes_with_label(label)))
         return cached
 
     def positions(self, label: str) -> Dict[int, int]:
@@ -194,10 +196,11 @@ class BitsetIndex:
         return mask
 
     def to_ids(self, label: str, mask: int) -> Set[int]:
-        """Materialize a mask back into a node-id set."""
-        if self._store is not None:
-            return self._store.to_ids(label, mask)
+        """Materialize a mask back into a node-id set (the graph's own id
+        objects)."""
         order = self.order(label)
+        if HAVE_NUMPY and mask.bit_count() >= VECTOR_TO_IDS_BITS:
+            return {order[i] for i in mask_positions(mask, len(order))}
         out: Set[int] = set()
         while mask:
             low = mask & -mask
@@ -247,17 +250,12 @@ class BitsetIndex:
         row = table[position]
         if row is None:
             node_id = self.order(label)[position]
-            if self._store is not None:
-                row = self._store.adjacency_mask(
-                    node_id, edge_label, outgoing, neighbor_label
-                )
-            else:
-                neighbors = (
-                    self._graph.successors(node_id, edge_label)
-                    if outgoing
-                    else self._graph.predecessors(node_id, edge_label)
-                )
-                row = self.mask_of(neighbor_label, neighbors)
+            neighbors = (
+                self._graph.successors(node_id, edge_label)
+                if outgoing
+                else self._graph.predecessors(node_id, edge_label)
+            )
+            row = self.mask_of(neighbor_label, neighbors)
             if row and not row & (row - 1):
                 row = ~(row.bit_length() - 1)
             table[position] = row
@@ -310,31 +308,10 @@ class GraphIndexes:
     run.
     """
 
-    def __init__(self, graph: AttributedGraph, columnar: bool = False) -> None:
+    def __init__(self, graph: AttributedGraph) -> None:
         self.graph = graph
         self.attributes = AttributeIndex(graph)
         self.bitsets = BitsetIndex(graph)
-        self.columnar: Optional["ColumnarStore"] = None
-        if columnar:
-            self.enable_columnar()
-
-    def enable_columnar(self, metrics=None) -> "ColumnarStore":
-        """Switch this bundle onto the graph's columnar core.
-
-        Builds (or reuses) the graph's :class:`ColumnarStore`, backs the
-        bitset index with CSR slices and points literal-pool computation
-        (:class:`~repro.matching.bitset.LiteralPoolCache` reads
-        ``indexes.columnar``) at compiled column masks. Idempotent; with
-        ``metrics`` the store's ``graph.columnar.*`` counters land in
-        that registry.
-        """
-        store = self.columnar
-        if store is None:
-            store = self.columnar = self.graph.columnar()
-            self.bitsets.use_store(store)
-        if metrics is not None:
-            store.attach_metrics(metrics)
-        return store
 
     def repair(
         self,
@@ -349,12 +326,9 @@ class GraphIndexes:
         Label pools, bitset enumerations and full masks describe the node
         set, which in-place deltas never change, so they survive — that
         asymmetry is the streaming layer's headline saving over a full
-        ``GraphContext.invalidate()``.
-
-        The columnar store needs no action here: the graph's in-place
-        hooks already patched its CSR rows and column cells cell-by-cell
-        when the delta applied, so by repair time it is current again —
-        only the mask/table caches derived from it are dropped.
+        ``GraphContext.invalidate()``. The graph-owned ball kernel, whose
+        edge arrays the AC-3 support sweeps read, was already spliced by
+        the graph's in-place hooks when the delta applied.
 
         Returns ``(rows_dropped, tables_dropped)``.
         """
@@ -375,5 +349,3 @@ class GraphIndexes:
         for label in labels if labels is not None else self.graph.node_labels():
             self.bitsets.positions(label)
             self.bitsets.full_mask(label)
-        if self.columnar is not None:
-            self.columnar.warm()

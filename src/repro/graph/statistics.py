@@ -42,24 +42,13 @@ class GraphStatistics:
 
 
 def compute_statistics(graph: AttributedGraph) -> GraphStatistics:
-    """Compute :class:`GraphStatistics` in one pass over the graph.
-
-    When the graph's columnar store is built, per-node degrees come from
-    its CSR offset arrays (:meth:`~repro.graph.columnar.ColumnarStore.degrees`)
-    — one vectorized length reduction per (edge label, direction) instead
-    of a per-node dict walk. Same numbers either way.
-    """
-    store = graph.columnar_store()
-    degrees = store.degrees() if store is not None else None
+    """Compute :class:`GraphStatistics` in one pass over the graph."""
     total_attributes = 0
     max_degree = 0
     total_degree = 0
     for node in graph.nodes():
         total_attributes += len(node.attributes)
-        if degrees is not None:
-            degree = degrees[store.node_pos[node.node_id]]
-        else:
-            degree = graph.degree(node.node_id)
+        degree = graph.degree(node.node_id)
         total_degree += degree
         max_degree = max(max_degree, degree)
     n = max(1, graph.num_nodes)

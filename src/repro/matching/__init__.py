@@ -14,9 +14,9 @@ Lemma 2 (refinement shrinks match sets).
 
 The pipeline runs on integer bitmasks (:mod:`repro.matching.bitset`):
 candidate pools are masks over per-label node enumerations and literal
-pools are cached across a whole run. When the indexes carry a columnar
-store, :class:`ColumnarEngine` (:mod:`repro.matching.columnar_engine`)
-runs propagation as vectorized CSR support sweeps instead; results are
+pools are cached across a whole run. Arc consistency takes each
+constraint's support in one numpy sweep over the graph's edge arrays when
+the pool is large and probes adjacency rows when it is small; results are
 identical. :mod:`repro.matching.reference` holds the naive and VF2
 oracles the tests compare against.
 """
@@ -29,7 +29,6 @@ from repro.matching.bitset import (
     MatchResult,
 )
 from repro.matching.matcher import SubgraphMatcher
-from repro.matching.columnar_engine import ColumnarEngine
 from repro.matching.incremental import IncrementalVerifier
 from repro.matching.reference import naive_match_set, nx_monomorphism_match_set
 from repro.matching.delta import GraphDelta, IncrementalMatchMaintainer, apply_delta
@@ -40,7 +39,6 @@ __all__ = [
     "MaskMap",
     "SubgraphMatcher",
     "BitsetEngine",
-    "ColumnarEngine",
     "LiteralPoolCache",
     "MatchResult",
     "IncrementalVerifier",

@@ -15,18 +15,20 @@ the three hot loops of instance verification become bit-parallel:
   layer's tier-2 cache, owned by
   :class:`~repro.service.context.GraphContext`), so masks computed by one
   run of a batch are reused by every later run over the same graph;
-* **arc-consistency support checks** — ``adjacency_row(v) & pool != 0``
-  replaces the per-neighbor set probing of AC-3; each query-edge
-  constraint fetches its relation's row table once
-  (:meth:`~repro.graph.indexes.BitsetIndex.relation`), so a candidate's
-  probe is one list read plus one AND;
+* **arc-consistency support checks** — per query-edge constraint and
+  pool size, one of two exact ways: a large pool takes the constraint's
+  whole support set in one numpy sweep over the graph's edge arrays
+  (:meth:`~repro.graph.ball.BallKernel.support`), a small one probes
+  ``adjacency_row(v) & pool != 0`` per candidate, with the relation's row
+  table fetched once (:meth:`~repro.graph.indexes.BitsetIndex.relation`),
+  so a probe is one list read plus one AND (:data:`SWEEP_CROSSOVER`);
 * **backtracking extension** — the candidates of the next query node are
   the AND of its pool with the already-assigned neighbors' adjacency rows,
   which also subsumes the per-edge consistency re-check.
 
 The engine publishes its work under ``matcher.bitset.*`` (literal-pool
-hits/misses, mask intersections) on top of the shared ``matcher.*``
-counters, and returns :class:`MatchResult` objects carrying only the
+hits/misses, mask intersections, support sweeps) on top of the shared
+``matcher.*`` counters, and returns :class:`MatchResult` objects carrying only the
 candidate *masks*: the incremental verifier seeds a child's pools from
 them directly, and the per-node id sets are built only when a caller
 reads :attr:`MatchResult.candidates`.
@@ -34,6 +36,7 @@ reads :attr:`MatchResult.candidates`.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict, deque
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -50,6 +53,14 @@ CandidateMap = Dict[str, Set[int]]
 #: Row-table key: (anchor label, edge label, outgoing, neighbor label).
 Relation = Tuple[str, str, bool, str]
 
+#: AC-3 crossover: a constraint over an edge label with ``m`` edges is
+#: swept when the pool holds at least ``SWEEP_CROSSOVER * (m + 2048)``
+#: candidates (m/32 + 64), and probed row by row below that. A sweep
+#: costs O(|V| + m) whatever the pool; a probe costs one row per candidate.
+#: 0 always sweeps and a huge value always probes; without numpy (or a
+#: ball kernel) every constraint probes.
+SWEEP_CROSSOVER = 1 / 32
+
 
 def iter_bits(mask: int):
     """Yield the set bit positions of ``mask``, lowest first."""
@@ -57,6 +68,11 @@ def iter_bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _crossover(edges: int) -> float:
+    """Smallest pool swept over an edge label with ``edges`` edges."""
+    return SWEEP_CROSSOVER * (edges + 2048)
 
 
 def is_acyclic(instance: QueryInstance) -> bool:
@@ -372,13 +388,6 @@ class LiteralPoolCache:
             self._metrics.inc("matcher.bitset.literal_pool_evictions")
 
     def _compute(self, label: str, literal: Literal) -> int:
-        store = self._indexes.columnar
-        if store is not None:
-            # Compiled column mask: one bisect over the column's distinct
-            # sort keys instead of a matching_nodes set + mask_of loop.
-            # Bit-for-bit identical (both follow sort-key semantics over
-            # the same ascending-id enumeration).
-            return store.literal_mask(label, literal)
         matching = self._indexes.attributes.matching_nodes(
             label, literal.attribute, literal.op, literal.constant
         )
@@ -388,11 +397,12 @@ class LiteralPoolCache:
 class _Work:
     """Mutable per-call work tally, folded into counters once per match."""
 
-    __slots__ = ("backtracks", "intersections")
+    __slots__ = ("backtracks", "intersections", "sweeps")
 
     def __init__(self) -> None:
         self.backtracks = 0
         self.intersections = 0
+        self.sweeps = 0
 
 
 class BitsetEngine:
@@ -445,6 +455,7 @@ class BitsetEngine:
             "matcher.empty_pool_short_circuits",
             "matcher.acyclic_fast_paths",
             "matcher.bitset.mask_intersections",
+            "matcher.bitset.support_sweeps",
         ):
             self.metrics.counter(name)
 
@@ -589,12 +600,19 @@ class BitsetEngine:
 
         A candidate ``v`` of ``u`` survives iff, for every query edge at
         ``u``, ``v``'s adjacency row toward the neighbor's label meets the
-        neighbor's pool. The worklist is sorted (``active_nodes`` iterates
-        in hash order, and the early exit on an empty pool makes the
-        removal count order-dependent), so the ``matcher.ac_removed``
-        counter is reproducible across processes.
+        neighbor's pool. A swept constraint computes that predicate for
+        every node at once (its support set, memoized on the neighbor pool
+        within the call), so survivors, removals and re-queues are the same
+        whichever path each constraint takes. The worklist is sorted
+        (``active_nodes`` iterates in hash order, and the early exit on an
+        empty pool makes the removal count order-dependent), so the
+        ``matcher.ac_removed`` counter is reproducible across processes.
         """
         bitsets = self.bitsets
+        kernel = self.graph.ball_kernel()
+        # No pool below this sweeps, whatever its edge label (and none
+        # at all without a kernel), so small pools never price a sweep.
+        floor = math.inf if kernel is None else max(1, _crossover(0))
         # Per node: (other, row-table key) for each incident query edge.
         constraints: Dict[str, List[Tuple[str, Relation]]] = {
             n: [] for n in instance.active_nodes
@@ -609,6 +627,8 @@ class BitsetEngine:
 
         removed = 0
         probes = 0
+        sweeps = 0
+        supports: Dict[Tuple[Relation, int], int] = {}
         queue = deque(sorted(instance.active_nodes))
         queued = set(queue)
         while queue:
@@ -616,30 +636,44 @@ class BitsetEngine:
             queued.discard(node_id)
             pool = masks[node_id]
             node_constraints = constraints[node_id]
-            # One row table per constraint, fetched once per sweep; the
-            # neighbor pools cannot change while this node is swept.
-            checks = [
-                (bitsets.relation(*relation), masks[other], relation)
-                for other, relation in node_constraints
-            ]
-            survivors = 0
-            remaining = pool
-            while remaining:
-                low = remaining & -remaining
-                remaining ^= low
-                position = low.bit_length() - 1
-                for table, other_mask, relation in checks:
-                    row = table[position]
-                    if row is None:
-                        row = bitsets.row(position, *relation)
+            # Large pools take each constraint's support in one sweep over
+            # the kernel's edge arrays; the rest probe one adjacency row
+            # per candidate, their row tables fetched once per visit. The
+            # neighbor pools cannot change while this node is visited.
+            survivors = pool
+            size = pool.bit_count()
+            checks = []
+            for other, relation in node_constraints:
+                other_mask = masks[other]
+                if size >= floor and size >= _crossover(kernel.edge_count(relation[1])):
+                    key = (relation, other_mask)
+                    support = supports.get(key)
+                    if support is None:
+                        support = supports[key] = kernel.support(*relation, other_mask)
+                        sweeps += 1
+                    survivors &= support
+                    size = survivors.bit_count()
                     probes += 1
-                    if row < 0:  # single neighbor at bit ~row
-                        if not other_mask >> ~row & 1:
-                            break
-                    elif not row & other_mask:
-                        break
                 else:
-                    survivors |= low
+                    checks.append((bitsets.relation(*relation), other_mask, relation))
+            if checks:
+                remaining, survivors = survivors, 0
+                while remaining:
+                    low = remaining & -remaining
+                    remaining ^= low
+                    position = low.bit_length() - 1
+                    for table, other_mask, relation in checks:
+                        row = table[position]
+                        if row is None:
+                            row = bitsets.row(position, *relation)
+                        probes += 1
+                        if row < 0:  # single neighbor at bit ~row
+                            if not other_mask >> ~row & 1:
+                                break
+                        elif not row & other_mask:
+                            break
+                    else:
+                        survivors |= low
             if survivors != pool:
                 removed += (pool & ~survivors).bit_count()
                 masks[node_id] = survivors
@@ -652,6 +686,7 @@ class BitsetEngine:
                         masks[key] = 0
                     break
         work.intersections += probes
+        work.sweeps += sweeps
         return masks, removed
 
     def _solve(
@@ -785,3 +820,5 @@ class BitsetEngine:
     def _publish(self, work: _Work) -> None:
         if work.intersections:
             self.metrics.inc("matcher.bitset.mask_intersections", work.intersections)
+        if work.sweeps:
+            self.metrics.inc("matcher.bitset.support_sweeps", work.sweeps)

@@ -6,12 +6,8 @@ exists. On acyclic instances arc consistency is already exact so the
 backtracking step degenerates to a constant-time confirmation; on cyclic
 instances it resolves the residual joins.
 
-The pipeline itself is the mask engine of :mod:`repro.matching.bitset`;
-when the indexes carry a columnar store (``GraphIndexes(columnar=True)``
-or :meth:`~repro.graph.indexes.GraphIndexes.enable_columnar`) its
-propagation runs as vectorized CSR support sweeps instead
-(:class:`~repro.matching.columnar_engine.ColumnarEngine`). Both produce
-identical matches and candidate masks.
+The pipeline itself is the mask engine of :mod:`repro.matching.bitset`,
+whose arc consistency sweeps or probes each constraint by pool size.
 """
 
 from __future__ import annotations
@@ -38,8 +34,7 @@ class SubgraphMatcher:
 
     Args:
         graph: The data graph.
-        indexes: Optional pre-built indexes (built lazily otherwise). When
-            they carry a columnar store the columnar engine verifies.
+        indexes: Optional pre-built indexes (built lazily otherwise).
         injective: If True, require distinct query nodes to map to
             distinct data nodes (subgraph-isomorphism semantics). The
             paper's definition is the non-injective one; the switch exists
@@ -74,10 +69,7 @@ class SubgraphMatcher:
         self.injective = injective
         self.metrics = metrics or MetricsRegistry()
         self.guard = guard if guard is not None else NULL_GUARD
-        engine_cls = BitsetEngine
-        if self.indexes.columnar is not None:
-            from repro.matching.columnar_engine import ColumnarEngine as engine_cls
-        self.engine = engine_cls(
+        self.engine = BitsetEngine(
             self.indexes,
             injective=injective,
             metrics=self.metrics,

@@ -62,13 +62,6 @@ _COUNTERS: Tuple[str, ...] = (
     "gen.onlineqgen.epsilon_growths",
     "gen.onlineqgen.refilled",
     "gen.onlineqgen.window_expired",
-    # columnar graph store
-    "graph.columnar.builds",
-    "graph.columnar.column_builds",
-    "graph.columnar.column_patches",
-    "graph.columnar.compiled_columns",
-    "graph.columnar.csr_builds",
-    "graph.columnar.csr_patches",
     # group systems
     "groups.members_indexed",
     "groups.membership_repairs",
@@ -84,7 +77,7 @@ _COUNTERS: Tuple[str, ...] = (
     "lattice.enumerated",
     "lattice.refine_calls",
     "lattice.relax_calls",
-    # matcher (+ engine-specific sub-namespaces)
+    # matcher (+ the bitset engine sub-namespace)
     "matcher.ac_removed",
     "matcher.acyclic_fast_paths",
     "matcher.backtrack_calls",
@@ -92,8 +85,7 @@ _COUNTERS: Tuple[str, ...] = (
     "matcher.bitset.literal_pool_hits",
     "matcher.bitset.literal_pool_misses",
     "matcher.bitset.mask_intersections",
-    "matcher.columnar.fallback_propagations",
-    "matcher.columnar.support_sweeps",
+    "matcher.bitset.support_sweeps",
     "matcher.empty_pool_short_circuits",
     "matcher.match_calls",
     "matcher.match_outputs_calls",

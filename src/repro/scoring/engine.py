@@ -16,10 +16,6 @@ and the quality measures. For every verified instance it produces the
    that point a rebuild is no slower and keeps constants small.
 3. **Full build** — from-scratch state construction (still feeding the
    same reductions), used for roots, cache misses, and oversized deltas.
-   When the graph's columnar store is built, :meth:`ScoreState.build`
-   gathers each attribute as a column slice off the interned columns
-   instead of walking per-node attribute dicts — same statistics, same
-   scores, fewer dict hops on the rebuild path.
 
 When a measure is subclassed or configured in a way the maintained
 reductions cannot reproduce (a non-Gower kernel, ``mode="exact"``, a

@@ -94,30 +94,6 @@ class AttributeStats:
         twin.counts = dict(self.counts)
         return twin
 
-    @classmethod
-    def from_values(cls, values: Iterable[Any]) -> "AttributeStats":
-        """Bulk construction from a value sequence (column-slice path).
-
-        End state identical to repeated :meth:`add` in the same order —
-        the count map keeps encounter order, and one final stable sort
-        places equal numerics exactly where repeated ``insort`` (which
-        inserts after equals) would have.
-        """
-        st = cls()
-        counts = st.counts
-        numeric = st.numeric
-        for value in values:
-            if value is None:
-                continue
-            st.present += 1
-            counts[value] = counts.get(value, 0) + 1
-            if _is_number(value):
-                numeric.append(value)
-            else:
-                st.non_numeric += 1
-        numeric.sort()
-        return st
-
 
 class ScoreState:
     """Delta-updatable scoring statistics of one answer set."""
@@ -150,31 +126,13 @@ class ScoreState:
         nodes = sorted(set(matches))
         attrs: Dict[str, AttributeStats] = {}
         if attributes:
-            store = graph.columnar_store()
-            gathered = (
-                store.columns_for_nodes(nodes, attributes)
-                if store is not None
-                else None
-            )
-            if gathered is not None:
-                # Column-slice path: gather each attribute's values in node
-                # order straight off the interned columns — same multisets,
-                # same count-map insertion order, no per-node dict hops.
-                columns, positions = gathered
-                attrs = {
-                    name: AttributeStats.from_values(
-                        [columns[name].values[p] for p in positions]
-                    )
-                    for name in attributes
-                }
-            else:
-                attrs = {name: AttributeStats() for name in attributes}
-                for node in nodes:
-                    node_attrs = graph.attributes(node)
-                    for name, st in attrs.items():
-                        value = node_attrs.get(name)
-                        if value is not None:
-                            st.add(value)
+            attrs = {name: AttributeStats() for name in attributes}
+            for node in nodes:
+                node_attrs = graph.attributes(node)
+                for name, st in attrs.items():
+                    value = node_attrs.get(name)
+                    if value is not None:
+                        st.add(value)
         overlaps: Dict[str, int] = {}
         if groups is not None:
             overlaps = {name: 0 for name in groups.names}

@@ -48,14 +48,6 @@ class GraphContext:
         warm: Pre-build the per-label index state eagerly
             (:meth:`GraphIndexes.warm`) so the first request served is
             not a cold start.
-        columnar: Enable the graph's columnar core
-            (:class:`~repro.graph.columnar.ColumnarStore`) on the shared
-            indexes at build time — CSR adjacency and compiled literal
-            masks are then shared by every request, and with ``warm=True``
-            the CSRs pre-build too, and every matcher built over the
-            shared indexes verifies with the columnar engine
-            (:class:`~repro.matching.columnar_engine.ColumnarEngine`).
-            Results are identical either way.
 
     Example:
         >>> context = GraphContext(graph)                   # doctest: +SKIP
@@ -70,12 +62,10 @@ class GraphContext:
         metrics: Optional[MetricsRegistry] = None,
         workload_pool_max_entries: Optional[int] = 4096,
         warm: bool = False,
-        columnar: bool = False,
     ) -> None:
         self.metrics = metrics or MetricsRegistry()
         self._graph = graph
         self._pool_bound = workload_pool_max_entries
-        self._columnar = columnar
         self._generation = 0
         self._revision = 0
         self.metrics.counter("service.context.invalidations")
@@ -85,8 +75,6 @@ class GraphContext:
 
     def _build(self, warm: bool) -> None:
         self._indexes = GraphIndexes(self._graph)
-        if self._columnar:
-            self._indexes.enable_columnar(metrics=self.metrics)
         self._pools = WorkloadLiteralPools(
             metrics=self.metrics, max_entries=self._pool_bound
         )

@@ -255,7 +255,7 @@ class ServingDaemon:
         attempt_timeout: Optional per-attempt wall-clock bound; an
             attempt exceeding it is abandoned as a straggler and the
             request retried on another worker.
-        warm / columnar / workload_pool_max_entries: Forwarded to every
+        warm / workload_pool_max_entries: Forwarded to every
             worker context.
         faults: Optional seeded :class:`FaultInjector`; specs are keyed
             by submission sequence number (chaos harness hook).
@@ -274,7 +274,6 @@ class ServingDaemon:
         max_retries: int = 2,
         attempt_timeout: Optional[float] = None,
         warm: bool = True,
-        columnar: bool = False,
         workload_pool_max_entries: Optional[int] = 4096,
         faults: Optional[FaultInjector] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -305,7 +304,6 @@ class ServingDaemon:
         self.faults = faults
         self.default_template = default_template
         self._warm = warm
-        self._columnar = columnar
         self._pool_bound = workload_pool_max_entries
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.admission = AdmissionController(
@@ -349,7 +347,6 @@ class ServingDaemon:
             metrics=MetricsRegistry(),
             workload_pool_max_entries=self._pool_bound,
             warm=self._warm,
-            columnar=self._columnar,
         )
 
     @property

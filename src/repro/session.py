@@ -261,7 +261,7 @@ class DaemonSession:
         workers: Replicated worker-context count.
         metrics: Registry for ``service.daemon.*`` / ``service.admission.*``
             counters (private if omitted).
-        queue_depth / max_retries / attempt_timeout / warm / columnar /
+        queue_depth / max_retries / attempt_timeout / warm /
             workload_pool_max_entries / faults: Forwarded to
             :class:`~repro.service.daemon.ServingDaemon`.
         **defaults: Further per-request config defaults, overridable per
@@ -278,7 +278,6 @@ class DaemonSession:
         max_retries: int = 2,
         attempt_timeout: Optional[float] = None,
         warm: bool = True,
-        columnar: bool = False,
         workload_pool_max_entries: Optional[int] = 4096,
         faults=None,
         **defaults,
@@ -292,7 +291,6 @@ class DaemonSession:
             max_retries=max_retries,
             attempt_timeout=attempt_timeout,
             warm=warm,
-            columnar=columnar,
             workload_pool_max_entries=workload_pool_max_entries,
             faults=faults,
             metrics=metrics,

@@ -18,13 +18,10 @@ with last-wins semantics — so for any applicable delta,
 That equivalence is what the streaming differential suite pins down via
 :func:`graph_signature`.
 
-The maintenance hooks also repair the graph's columnar store
-(:class:`~repro.graph.columnar.ColumnarStore`) when one is built: edge
-hooks override the affected CSR rows and attribute hooks patch the one
-column cell, so a store enabled before a stream of in-place deltas stays
-bit-for-bit consistent with the adjacency dicts without ever rebuilding —
-the columnar differential suite pins that down against this module's
-materializing twin.
+The maintenance hooks also repair the graph-owned structures in place:
+edge hooks splice the ball kernel (its CSR rows and the per-edge-label
+endpoint arrays the matcher's AC-3 sweeps read) and attribute hooks patch
+the Gower columns, so nothing graph-owned is rebuilt.
 """
 
 from __future__ import annotations
@@ -71,9 +68,9 @@ def apply_delta_in_place(graph: AttributedGraph, delta: GraphDelta) -> DeltaRece
     partial application on a bad delta), then applies deletions before
     insertions (an edge listed in both ends up present) and attribute
     updates last-wins per (node, attribute), mirroring the materializing
-    path exactly. Each hook call also repairs the graph's columnar store
-    in place (CSR row overrides / column-cell patches) when one is built,
-    so no separate store invalidation step exists — or is needed — here.
+    path exactly. Each hook call also repairs the graph-owned ball kernel
+    and Gower columns in place, so no separate invalidation step exists —
+    or is needed — here.
     """
     validate_delta(graph, delta)
 

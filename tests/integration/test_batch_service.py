@@ -4,8 +4,8 @@ The serving contract: shared cache tiers (indexes + workload literal
 pools) change *cost only*, never results. Each test runs a workload
 through :class:`repro.session.BatchSession` and compares every outcome
 element-wise against an independent standalone run of the same
-configuration — with and without a columnar store — plus invalidation behaviour
-after graph mutations and a CLI smoke.
+configuration — on both AC-3 paths of the matcher — plus invalidation
+behaviour after graph mutations and a CLI smoke.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from repro.query.serialization import template_to_dict
 from repro.service.scheduler import ALGORITHMS
 from repro.session import BatchSession
 from repro.workload import TemplateGenerator, TemplateSpec, requests_from_templates
+from tests.ac3 import forced
 
 
 def _front(result):
@@ -77,16 +78,15 @@ class TestBatchMatchesStandalone:
             assert outcome.result.epsilon == expected.epsilon
 
     def test_engines_agree_through_the_service(self, small_lki_bundle):
-        """The columnar engine, engaged by a store on the shared indexes,
-        serves the same fronts as the bitset engine."""
+        """Both AC-3 paths of the matcher (every constraint swept, every
+        constraint probed) serve the same fronts."""
         bundle = small_lki_bundle
         requests = _workload(bundle)
         fronts = []
-        for columnar in (False, True):
-            batch = BatchSession(bundle.graph, bundle.groups, max_domain_values=4)
-            if columnar:
-                batch.context.indexes.enable_columnar()
-            fronts.append([_front(o.result) for o in batch.run(requests)])
+        for path in ("probe", "sweep"):
+            with forced(path):
+                batch = BatchSession(bundle.graph, bundle.groups, max_domain_values=4)
+                fronts.append([_front(o.result) for o in batch.run(requests)])
         assert fronts[0] == fronts[1]
 
     def test_warm_reuse_hits_workload_pools(self, small_lki_bundle):

@@ -1,11 +1,11 @@
 """Differential testing: the matcher against the reference oracles.
 
-The mask pipeline (and its columnar-store variant, which swaps the AC-3
-inner loop for CSR support sweeps) must return exactly the answers of the
-exponential oracles in ``matching/reference.py``: the naive match set for
-homomorphisms and networkx VF2 for ``injective=True``. With and without a
-columnar store the candidate masks and removal counts must coincide too.
-The suite also covers the incremental parent-seeded path (mask
+The mask pipeline must return exactly the answers of the exponential
+oracles in ``matching/reference.py``: the naive match set for
+homomorphisms and networkx VF2 for ``injective=True``, on both AC-3 paths
+(every constraint's support swept over the ball kernel's edge arrays, or
+every candidate probed row by row). The two paths must also agree on the
+candidate masks and on ``matcher.ac_removed``. The suite also covers the incremental parent-seeded path (mask
 restriction must equal set restriction and a from-scratch match) and the
 lazily materialized ``MatchResult.candidates``.
 """
@@ -13,7 +13,7 @@ lazily materialized ``MatchResult.candidates``.
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.graph.attributed_graph import AttributedGraph
-from repro.graph.indexes import GraphIndexes
+from repro.graph.ball import HAVE_NUMPY
 from repro.matching import (
     SubgraphMatcher,
     naive_match_set,
@@ -21,6 +21,7 @@ from repro.matching import (
 )
 from repro.matching.incremental import IncrementalVerifier
 from repro.query import Instantiation, Op, QueryInstance, QueryTemplate
+from tests.ac3 import forced
 
 SETTINGS = settings(
     max_examples=60,
@@ -99,14 +100,26 @@ def build_instance(template, bound, edge_bit):
     return QueryInstance(Instantiation(template, bindings))
 
 
-def matchers(graph, injective=False):
-    """One matcher over plain indexes, one over a columnar store."""
-    return [
-        SubgraphMatcher(
-            graph, GraphIndexes(graph, columnar=columnar), injective=injective
-        )
-        for columnar in (False, True)
-    ]
+PATHS = ("probe", "sweep")
+
+
+def on_paths(graph, call, injective=False):
+    """``call(matcher)`` on a fresh matcher per AC-3 path (probe, sweep)."""
+    results = []
+    for path in PATHS:
+        with forced(path):
+            results.append(call(SubgraphMatcher(graph, injective=injective)))
+    return results
+
+
+def match_on_paths(graph, instance, injective=False):
+    """The instance matched on each AC-3 path, with its ``ac_removed``."""
+
+    def run(matcher):
+        result = matcher.match(instance)
+        return result, matcher.metrics.value("matcher.ac_removed")
+
+    return on_paths(graph, run, injective)
 
 
 def literal_pool(graph, instance, node_id):
@@ -136,28 +149,43 @@ class TestEngineAgreement:
         self, graph, template_index, bound, edge_bit
     ):
         instance = build_instance(TEMPLATES[template_index], bound, edge_bit)
-        by_bit, by_col = (m.match(instance) for m in matchers(graph))
-        assert by_bit.matches == naive_match_set(graph, instance)
-        assert by_col.matches == by_bit.matches
-        assert by_col.candidate_masks == by_bit.candidate_masks
-        assert by_col.pruned_candidates == by_bit.pruned_candidates
+        (probed, probe_removed), (swept, sweep_removed) = match_on_paths(graph, instance)
+        assert probed.matches == naive_match_set(graph, instance)
+        assert swept.matches == probed.matches
+        assert swept.candidate_masks == probed.candidate_masks
+        assert swept.pruned_candidates == probed.pruned_candidates
+        assert sweep_removed == probe_removed
 
     @SETTINGS
     @given(**INSTANCES)
     def test_injective_engines_agree(self, graph, template_index, bound, edge_bit):
         instance = build_instance(TEMPLATES[template_index], bound, edge_bit)
-        by_bit, by_col = (m.match(instance) for m in matchers(graph, injective=True))
-        assert by_bit.matches == nx_monomorphism_match_set(graph, instance)
-        assert by_bit.matches == naive_match_set(graph, instance, injective=True)
-        assert by_col.matches == by_bit.matches
-        assert by_col.candidate_masks == by_bit.candidate_masks
+        (probed, _), (swept, _) = match_on_paths(graph, instance, injective=True)
+        assert probed.matches == nx_monomorphism_match_set(graph, instance)
+        assert probed.matches == naive_match_set(graph, instance, injective=True)
+        assert swept.matches == probed.matches
+        assert swept.candidate_masks == probed.candidate_masks
 
     @SETTINGS
     @given(**INSTANCES)
     def test_exists_agrees(self, graph, template_index, bound, edge_bit):
         instance = build_instance(TEMPLATES[template_index], bound, edge_bit)
         expected = bool(naive_match_set(graph, instance))
-        assert [m.exists(instance) for m in matchers(graph)] == [expected, expected]
+        exists = on_paths(graph, lambda matcher: matcher.exists(instance))
+        assert exists == [expected, expected]
+
+    @SETTINGS
+    @given(**INSTANCES)
+    def test_match_outputs_agree(self, graph, template_index, bound, edge_bit):
+        """Every query node's exact match set, on both paths, equals the
+        oracle's with that node as output."""
+        instance = build_instance(TEMPLATES[template_index], bound, edge_bit)
+        nodes = sorted(instance.active_nodes)
+        probed, swept = on_paths(
+            graph, lambda matcher: matcher.match_outputs(instance, nodes)
+        )
+        assert swept == probed
+        assert probed[instance.output_node] == naive_match_set(graph, instance)
 
 
 class TestLazyCandidates:
@@ -199,13 +227,15 @@ class TestIncrementalParentSeeding:
             Instantiation(template, {"xl": parent_bound + child_extra})
         )
         expected = naive_match_set(graph, child)
-        for matcher in matchers(graph):
-            parent_result = matcher.match(parent)
-            fresh = matcher.match(child)
-            by_masks = matcher.match(
-                child, restrict_masks=parent_result.candidate_masks
-            )
-            by_sets = matcher.match(child, restrict=parent_result.candidates)
+        for path in PATHS:
+            with forced(path):
+                matcher = SubgraphMatcher(graph)
+                parent_result = matcher.match(parent)
+                fresh = matcher.match(child)
+                by_masks = matcher.match(
+                    child, restrict_masks=parent_result.candidate_masks
+                )
+                by_sets = matcher.match(child, restrict=parent_result.candidates)
             assert by_masks.matches == by_sets.matches == fresh.matches == expected
             assert by_masks.candidate_masks == by_sets.candidate_masks
             assert by_masks.candidates == fresh.candidates
@@ -213,13 +243,93 @@ class TestIncrementalParentSeeding:
     @SETTINGS
     @given(graph=random_graphs(), parent_bound=st.integers(min_value=0, max_value=3))
     def test_incremental_verifier_engines_agree(self, graph, parent_bound):
-        """IncrementalVerifier seeds the child from the parent's masks, with
-        and without a columnar store; both give the oracle's answer."""
+        """IncrementalVerifier seeds the child from the parent's masks, on
+        both AC-3 paths; both give the oracle's answer."""
         template = path_template()
         parent = QueryInstance(Instantiation(template, {"xl": parent_bound}))
         child = QueryInstance(Instantiation(template, {"xl": parent_bound + 1}))
         expected = naive_match_set(graph, child)
-        for matcher in matchers(graph):
+
+        def verify(matcher):
             verifier = IncrementalVerifier(matcher)
             verifier.verify(parent)
-            assert verifier.verify(child, parent=parent).matches == expected
+            return verifier.verify(child, parent=parent).matches
+
+        assert on_paths(graph, verify) == [expected, expected]
+
+
+def dense_graph():
+    """A dense one-label synthetic graph (~25 out-edges per node), large
+    enough that full pools reach the default sweep crossover."""
+    from repro.datasets.synthetic import (
+        EdgePopulation,
+        GaussInt,
+        NodePopulation,
+        SyntheticSpec,
+        UniformInt,
+        build_synthetic,
+    )
+
+    spec = SyntheticSpec(
+        name="dense-siblings",
+        nodes=[
+            NodePopulation(
+                "person",
+                600,
+                {"yearsOfExp": GaussInt(12, 6, 0, 40), "score": UniformInt(0, 100)},
+            ),
+        ],
+        edges=[
+            EdgePopulation(
+                "person", "knows", "person",
+                out_degree=UniformInt(15, 35), attachment="preferential",
+            ),
+        ],
+    )
+    return build_synthetic(spec, scale=1.0, seed=7)
+
+
+def sibling_template():
+    """Three nodes, two range variables and an optional closing edge."""
+    return (
+        QueryTemplate.builder("siblings")
+        .node("u0", "person")
+        .node("u1", "person")
+        .node("u2", "person")
+        .fixed_edge("u1", "u0", "knows")
+        .fixed_edge("u2", "u1", "knows")
+        .edge_var("xe", "u2", "u0", "knows")
+        .range_var("xl1", "u1", "yearsOfExp", Op.GE)
+        .range_var("xl2", "u2", "score", Op.GE)
+        .output("u0")
+        .build()
+    )
+
+
+class TestDenseSiblingSweep:
+    def test_default_crossover_equals_row_probes(self):
+        """A lattice-shaped sibling sweep over a dense graph, acyclic and
+        triangle shapes: the default crossover (full pools swept, literal-
+        restricted ones probed) gives the masks and answers of row probes
+        on every instance."""
+        graph = dense_graph()
+        template = sibling_template()
+        instances = [
+            QueryInstance(Instantiation(template, {"xe": xe, "xl1": xl1, "xl2": xl2}))
+            for xe in (0, 1)
+            for xl1 in (0, 10, 20)
+            for xl2 in (0, 50, 90)
+        ]
+        default = SubgraphMatcher(graph)
+        with forced("probe"):
+            probe = SubgraphMatcher(graph)
+            probed = [probe.match(instance) for instance in instances]
+        for instance, expected in zip(instances, probed):
+            result = default.match(instance)
+            assert result.matches == expected.matches
+            assert result.candidate_masks == expected.candidate_masks
+        assert default.metrics.value("matcher.ac_removed") == probe.metrics.value(
+            "matcher.ac_removed"
+        )
+        if HAVE_NUMPY:
+            assert default.metrics.value("matcher.bitset.support_sweeps") > 0

@@ -4,17 +4,21 @@ import pytest
 
 from repro.core.evaluator import InstanceEvaluator
 from repro.errors import MatchingError
+from repro.graph.ball import HAVE_NUMPY
+from repro.graph.builder import GraphBuilder
 from repro.graph.indexes import GraphIndexes
 from repro.matching import (
     BitsetEngine,
-    ColumnarEngine,
     LiteralPoolCache,
     SubgraphMatcher,
     naive_match_set,
 )
 from repro.matching.bitset import iter_bits
+from repro.matching.delta import GraphDelta
 from repro.obs import MetricsRegistry
 from repro.query import Instantiation, Literal, Op, QueryInstance
+from repro.streaming.graph_ops import apply_delta_in_place
+from tests.ac3 import forced
 
 
 def talent_instance(template, **bindings):
@@ -99,16 +103,8 @@ class TestLiteralPoolCache:
 
 class TestEngineSelection:
     def test_evaluator_threads_engine(self, talent_config):
-        from dataclasses import replace
-
         evaluator = InstanceEvaluator(talent_config)
         assert type(evaluator.matcher.engine) is BitsetEngine
-        # Only indexes carrying a columnar store select the columnar engine.
-        store_backed = replace(
-            talent_config,
-            shared_indexes=GraphIndexes(talent_config.graph, columnar=True),
-        )
-        assert isinstance(InstanceEvaluator(store_backed).matcher.engine, ColumnarEngine)
 
 
 class TestBitsetMatcher:
@@ -151,12 +147,12 @@ class TestBitsetMatcher:
     def test_match_outputs_agrees(self, talent_graph, talent_template):
         q = talent_instance(talent_template, xl1=5, xl2=100, xe1=1)
         outputs = sorted(q.active_nodes)
-        by_bit = SubgraphMatcher(talent_graph).match_outputs(q, outputs)
-        by_col = SubgraphMatcher(
-            talent_graph, GraphIndexes(talent_graph, columnar=True)
-        ).match_outputs(q, outputs)
-        assert by_bit == by_col
-        assert by_bit[q.output_node] == naive_match_set(talent_graph, q)
+        by_path = []
+        for path in ("probe", "sweep"):
+            with forced(path):
+                by_path.append(SubgraphMatcher(talent_graph).match_outputs(q, outputs))
+        assert by_path[0] == by_path[1]
+        assert by_path[0][q.output_node] == naive_match_set(talent_graph, q)
 
     def test_match_outputs_validates(self, talent_graph, talent_template):
         q = talent_instance(talent_template, xl1=5, xl2=100, xe1=0)
@@ -180,11 +176,10 @@ class TestExistsEarlyExit:
             .build()
         )
         q = QueryInstance(Instantiation(template, {}))
-        for columnar in (False, True):
-            matcher = SubgraphMatcher(
-                triangle_graph, GraphIndexes(triangle_graph, columnar=columnar)
-            )
-            assert matcher.exists(q) == bool(matcher.match(q).matches)
+        for path in ("probe", "sweep"):
+            with forced(path):
+                matcher = SubgraphMatcher(triangle_graph)
+                assert matcher.exists(q) == bool(matcher.match(q).matches)
 
     def test_exists_does_less_backtracking(self, triangle_graph):
         from repro.query import QueryTemplate
@@ -206,3 +201,113 @@ class TestExistsEarlyExit:
         early = SubgraphMatcher(triangle_graph).match(q, first_only=True)
         assert len(early.matches) == 1
         assert early.backtrack_calls < full.backtrack_calls
+
+
+def support_graph():
+    """Two node labels, a self-loop, parallel labels and an isolated node."""
+    builder = GraphBuilder("support")
+    for i in range(6):
+        builder.node_with_id(i, "a" if i < 4 else "b")
+    builder.node_with_id(6, "c")  # no edges at all
+    for source, target, label in (
+        (0, 0, "e"),  # self-loop
+        (0, 1, "e"),
+        (1, 2, "e"),
+        (2, 4, "e"),
+        (3, 4, "f"),
+        (4, 5, "e"),
+        (5, 0, "e"),
+    ):
+        builder.edge(source, target, label)
+    return builder.build()
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="the sweep reads the numpy ball kernel")
+class TestSupportSweep:
+    """``BallKernel.support`` against per-candidate row probes."""
+
+    def probed(self, bitsets, label, edge_label, outgoing, other_label, other_mask):
+        support = 0
+        for position in range(len(bitsets.order(label))):
+            row = bitsets.row(position, label, edge_label, outgoing, other_label)
+            row = 1 << ~row if row < 0 else row
+            if row & other_mask:
+                support |= 1 << position
+        return support
+
+    def test_support_equals_row_probes(self):
+        graph = support_graph()
+        kernel = graph.ball_kernel()
+        bitsets = GraphIndexes(graph).bitsets
+        labels = ("a", "b", "c", "ghost")
+        for label in labels:
+            for other in labels:
+                full = bitsets.full_mask(other)
+                # Every sub-pool of the other label, the empty one included.
+                for other_mask in range(full + 1):
+                    if other_mask & ~full:
+                        continue
+                    for edge_label in ("e", "f", "absent"):
+                        for outgoing in (True, False):
+                            relation = (label, edge_label, outgoing, other)
+                            assert kernel.support(*relation, other_mask) == self.probed(
+                                bitsets, *relation, other_mask
+                            ), (relation, other_mask)
+
+    def test_support_tracks_in_place_deltas(self):
+        """Sweeps over the spliced edge arrays equal row probes after
+        in-place inserts and deletes (rows dropped by the index repair)."""
+        graph = support_graph()
+        kernel = graph.ball_kernel()
+        indexes = GraphIndexes(graph)
+        bitsets = indexes.bitsets
+        full_b = bitsets.full_mask("b")
+        before = kernel.support("a", "e", True, "b", full_b)
+        delta = GraphDelta(
+            delete_edges=((2, 4, "e"),),
+            insert_edges=((3, 5, "e"), (1, 1, "e")),
+        )
+        receipt = apply_delta_in_place(graph, delta)
+        indexes.repair(receipt.touched_nodes, receipt.touched_attributes)
+        assert graph.ball_kernel() is kernel  # spliced, not rebuilt
+        for other in ("a", "b"):
+            for outgoing in (True, False):
+                relation = ("a", "e", outgoing, other)
+                full = bitsets.full_mask(other)
+                assert kernel.support(*relation, full) == self.probed(
+                    bitsets, *relation, full
+                ), relation
+        assert kernel.support("a", "e", True, "b", full_b) != before
+
+    def test_self_loop_supports_itself(self):
+        kernel = support_graph().ball_kernel()
+        assert kernel.support("a", "e", True, "a", 0b0001) & 0b0001
+        # Nodes 0 (the loop) and 1 have an ``e`` edge from node 0.
+        assert kernel.support("a", "e", False, "a", 0b0001) == 0b0011
+
+    def test_sweeps_are_counted_and_memoized(self, triangle_graph):
+        from repro.query import QueryTemplate
+
+        template = (
+            QueryTemplate.builder("tri")
+            .node("u0", "a")
+            .node("u1", "a")
+            .node("u2", "a")
+            .fixed_edge("u0", "u1", "e")
+            .fixed_edge("u1", "u2", "e")
+            .fixed_edge("u2", "u0", "e")
+            .output("u0")
+            .build()
+        )
+        q = QueryInstance(Instantiation(template, {}))
+        swept = []
+        for path in ("probe", "sweep"):
+            with forced(path):
+                matcher = SubgraphMatcher(triangle_graph)
+                result = matcher.match(q)
+            swept.append(matcher.metrics.value("matcher.bitset.support_sweeps"))
+            assert result.matches == naive_match_set(triangle_graph, q)
+        assert swept[0] == 0
+        # One sweep per distinct (relation, neighbor pool) at most: six
+        # constraints over one relation pair, memoized within the call.
+        assert 0 < swept[1] <= 6
