@@ -1,21 +1,19 @@
 """Serving-daemon soak benchmark: sustained-load latency + shed behavior.
 
 Drives the persistent multi-tenant daemon (:mod:`repro.service.daemon`)
-over the same dense synthetic graph the batching benchmark uses, in two
-phases:
+over a dense synthetic graph (~4k nodes, ~70k edges), in two phases:
 
 * **sustained** — hundreds of distinct requests (four templates × an ε
-  sweep) from four tenants against a deadline-free SLO mix, on a
-  replicated worker pool. Reports throughput and the p50/p90/p99 of the
+  sweep) from four tenants against a deadline-free SLO mix, on a pool
+  of worker threads. Reports throughput and the p50/p90/p99 of the
   daemon's own per-request latency histogram.
 * **overload** — the same workload squeezed through tiny per-tenant
   admission queues under an SLO mix with real deadlines, measuring the
   shed rate and the split between queue-full and deadline sheds. Every
   shed answer must be a *valid* empty truncated partial, never an error.
 
-Results are **merged** into ``BENCH_serving.json`` at the repository
-root as a ``"daemon"`` section, next to the batching benchmark's
-cold/warm numbers (run that script first to populate them).
+Results are written to ``BENCH_serving.json`` at the repository root as
+its ``"daemon"`` section.
 
 Standalone on purpose: CI installs only pytest + hypothesis, so this
 script depends on nothing beyond the library and the standard library.
@@ -26,7 +24,7 @@ Usage::
     PYTHONPATH=src python benchmarks/serving_daemon.py --smoke   # CI
 
 Smoke mode shrinks the request count (~120) but keeps the graph at full
-size and the worker pool replicated, so the latency distribution stays
+size and the worker count, so the latency distribution stays
 representative.
 """
 
@@ -39,16 +37,94 @@ import time
 from pathlib import Path
 from typing import Dict, List
 
+from repro.datasets.synthetic import (
+    EdgePopulation,
+    GaussInt,
+    NodePopulation,
+    SyntheticSpec,
+    UniformChoice,
+    UniformInt,
+    ZipfChoice,
+    build_synthetic,
+)
+from repro.groups.groups import groups_from_attribute
+from repro.query import Literal, Op, QueryTemplate
 from repro.service.daemon import ServingDaemon
 from repro.service.requests import GenerationRequest
 
-from workload_batching import (
-    REQUEST_OPTIONS,
-    RESULT_FILE,
-    serving_graph,
-    serving_groups,
-    workload_templates,
+REPO_ROOT = Path(__file__).resolve().parent.parent
+RESULT_FILE = REPO_ROOT / "BENCH_serving.json"
+
+#: Graph size is NOT reduced in smoke mode, so the latency distribution
+#: stays representative.
+GRAPH_NODES = 4000
+GRAPH_SEED = 11
+
+#: Per-request configuration of every served request.
+REQUEST_OPTIONS = dict(
+    max_domain_values=3,
+    use_template_refinement=False,
 )
+
+def serving_graph():
+    """A dense one-component synthetic graph (~4k nodes, ~70k edges)."""
+    spec = SyntheticSpec(
+        name="serving-bench",
+        nodes=[
+            NodePopulation(
+                "person",
+                GRAPH_NODES,
+                {
+                    "yearsOfExp": GaussInt(12, 6, 0, 40),
+                    "score": UniformInt(0, 100),
+                    "major": UniformChoice(("CS", "EE", "Business", "Design")),
+                    "seniority": ZipfChoice(("junior", "mid", "senior", "staff")),
+                },
+            ),
+        ],
+        edges=[
+            EdgePopulation(
+                "person",
+                "knows",
+                "person",
+                out_degree=UniformInt(10, 25),
+                attachment="preferential",
+            ),
+        ],
+    )
+    return build_synthetic(spec, scale=1.0, seed=GRAPH_SEED)
+
+
+def serving_groups(graph):
+    return groups_from_attribute(
+        graph, "major", {"CS": 2, "Business": 2}, label="person"
+    )
+
+
+def _template(name, sel_attr, sel_val, attr1, attr2) -> QueryTemplate:
+    """A selective 2-node pattern: recommender above a score/experience bar."""
+    return (
+        QueryTemplate.builder(name)
+        .node("u0", "person")
+        .node("u1", "person", Literal(sel_attr, Op.GE, sel_val))
+        .fixed_edge("u1", "u0", "knows")
+        .range_var("xl1", "u1", attr1, Op.GE)
+        .range_var("xl2", "u0", attr2, Op.GE)
+        .output("u0")
+        .build()
+    )
+
+
+def workload_templates() -> List[QueryTemplate]:
+    """Four templates sharing attributes, so literal masks recur across
+    requests the way a real workload's predicates do."""
+    return [
+        _template("t1", "score", 92, "yearsOfExp", "score"),
+        _template("t2", "score", 94, "score", "yearsOfExp"),
+        _template("t3", "yearsOfExp", 26, "yearsOfExp", "yearsOfExp"),
+        _template("t4", "yearsOfExp", 28, "score", "score"),
+    ]
+
 
 WORKERS = 4
 TENANTS = ("alice", "bob", "carol", "dave")
@@ -164,18 +240,9 @@ def run(smoke: bool = False) -> Dict:
     return section
 
 
-def merge_into_results(section: Dict, path: Path) -> None:
-    """Attach the daemon section to the serving benchmark artifact."""
-    data: Dict = {}
-    if path.exists():
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    if not isinstance(data, dict):
-        data = {}
-    data["daemon"] = section
-    path.write_text(json.dumps(data, indent=2) + "\n")
+def write_results(section: Dict, path: Path) -> None:
+    """Write the serving benchmark artifact (its ``"daemon"`` section)."""
+    path.write_text(json.dumps({"daemon": section}, indent=2) + "\n")
 
 
 def main(argv=None) -> int:
@@ -188,7 +255,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     section = run(smoke=args.smoke)
-    merge_into_results(section, args.output)
+    write_results(section, args.output)
     sustained = section["sustained"]
     overload = section["overload"]
     print(

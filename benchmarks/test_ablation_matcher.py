@@ -8,7 +8,6 @@ regressions while extending the library.
 
 from repro.bench.harness import make_config
 from repro.core.lattice import InstanceLattice
-from repro.graph.indexes import GraphIndexes
 from repro.matching.bitset import BitsetEngine, _Work
 from repro.matching.matcher import SubgraphMatcher
 
@@ -21,7 +20,7 @@ def _root_instance(ctx, settings):
 
 def test_candidate_propagation(benchmark, ctx, settings):
     config, root = _root_instance(ctx, settings)
-    engine = BitsetEngine(GraphIndexes(config.graph))
+    engine = BitsetEngine(config.graph)
 
     def run():
         work = _Work()

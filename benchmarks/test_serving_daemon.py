@@ -1,12 +1,12 @@
 """Pytest wrapper around the standalone serving-daemon soak benchmark.
 
-Runs the smoke-mode soak (same dense graph, ~120 requests on a
-replicated worker pool) and enforces the daemon acceptance bar: every
+Runs the smoke-mode soak (full-size dense graph, ~120 requests on a
+pool of worker threads) and enforces the daemon acceptance bar: every
 sustained-phase request completes, the latency histogram yields real
 quantiles, and overload degrades by shedding valid truncated partials —
 never by erroring. The JSON artifact lands in ``benchmarks/results``;
-the canonical ``BENCH_serving.json`` daemon section is merged by running
-the script directly (as CI does).
+the canonical ``BENCH_serving.json`` is written by running the script
+directly (as CI does).
 """
 
 import json

@@ -65,7 +65,6 @@ from repro.service import (
     GenerationRequest,
     GraphContext,
     RequestOutcome,
-    WorkloadLiteralPools,
 )
 from repro.session import BatchSession, FairSQGSession
 from repro.matching.delta import GraphDelta
@@ -129,7 +128,6 @@ __all__ = [
     "BatchScheduler",
     "GenerationRequest",
     "RequestOutcome",
-    "WorkloadLiteralPools",
     "dataset_bundle",
     "dataset_names",
     "TemplateGenerator",

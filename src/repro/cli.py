@@ -556,8 +556,8 @@ def _cmd_batch(args) -> int:
         f" / failed {failed}"
         f" / rejected {metrics.value('service.requests.rejected')}"
         f" / truncated {metrics.value('service.truncated')}"
-        f"; workload literal-pool hit rate "
-        f"{session.literal_pool_hit_rate:.2f}"
+        f"; shared literal-mask hits "
+        f"{metrics.value('matcher.bitset.literal_pool_shared_hits')}"
     )
     if args.out:
         save_outcomes_jsonl(outcomes, args.out)

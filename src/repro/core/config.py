@@ -8,8 +8,8 @@ experiments can flip one field at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 from repro.errors import ConfigurationError
 from repro.core.measures import CoverageMeasure, DiversityMeasure
@@ -21,9 +21,6 @@ from repro.groups.system import GroupSystem
 from repro.obs.registry import MetricsRegistry
 from repro.query.template import QueryTemplate
 from repro.runtime.budget import Budget, CancellationToken
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.matching.bitset import WorkloadLiteralPools
 
 
 @dataclass
@@ -63,18 +60,6 @@ class GenerationConfig:
             :class:`~repro.runtime.budget.CancellationToken`; cancelling
             it truncates the run at the next checkpoint, same contract
             as budget exhaustion.
-        shared_indexes: Optional pre-built
-            :class:`~repro.graph.indexes.GraphIndexes` over ``graph``
-            reused instead of building fresh ones — the serving layer's
-            tier-1 cache (:class:`~repro.service.context.GraphContext`
-            binds this). Indexes are pure caches of the frozen graph, so
-            sharing never changes results.
-        shared_literal_pools: Optional workload-scoped
-            :class:`~repro.matching.bitset.WorkloadLiteralPools` backing
-            the matcher's literal cache across runs (tier-2 of the
-            serving cache hierarchy). Must be
-            paired with the ``shared_indexes`` whose bit enumerations its
-            masks refer to.
         literal_pool_max_entries: Optional LRU bound on the matcher's
             local literal-pool cache (None = unbounded; set for
             long-lived engines such as online streams or serving
@@ -109,8 +94,6 @@ class GenerationConfig:
     metrics: Optional[MetricsRegistry] = None
     budget: Optional[Budget] = None
     cancellation: Optional[CancellationToken] = None
-    shared_indexes: Optional[GraphIndexes] = None
-    shared_literal_pools: Optional["WorkloadLiteralPools"] = None
     literal_pool_max_entries: Optional[int] = None
     use_delta_scoring: bool = False
     scoring_delta_max_fraction: float = 0.5
@@ -121,11 +104,6 @@ class GenerationConfig:
             raise ConfigurationError("epsilon must be positive")
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigurationError("lambda must lie in [0, 1]")
-        if self.shared_indexes is not None and self.shared_indexes.graph is not self.graph:
-            raise ConfigurationError(
-                "shared_indexes were built over a different graph object; "
-                "masks and pools would be meaningless for this one"
-            )
         if (
             self.literal_pool_max_entries is not None
             and self.literal_pool_max_entries <= 0
@@ -153,11 +131,9 @@ class GenerationConfig:
     # Shared, lazily-built helpers -------------------------------------- #
 
     def build_indexes(self) -> GraphIndexes:
-        """This config's :class:`GraphIndexes` — the shared ones when a
-        serving context bound them, else fresh ones for this graph."""
-        if self.shared_indexes is not None:
-            return self.shared_indexes
-        return GraphIndexes(self.graph)
+        """The graph's own :class:`GraphIndexes`, shared by every config
+        on this graph (built on the first call for the graph)."""
+        return self.graph.indexes()
 
     def build_domains(self) -> ActiveDomainIndex:
         """Fresh :class:`ActiveDomainIndex` honoring ``max_domain_values``."""

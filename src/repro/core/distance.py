@@ -101,10 +101,7 @@ class _TupleDistanceBase:
         self.graph = graph
         self.label = label
         if attributes is None:
-            names: set = set()
-            for node_id in graph.nodes_with_label(label):
-                names.update(graph.attributes(node_id).keys())
-            attributes = sorted(names)
+            attributes = graph.label_attribute_names(label)
         self.attributes: Tuple[str, ...] = tuple(attributes)
         self.ranges = AttributeRanges(graph, label)
         self._cache: Dict[Tuple[int, int], float] = {}

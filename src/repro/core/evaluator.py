@@ -91,7 +91,6 @@ class InstanceEvaluator:
             injective=config.injective,
             metrics=self.metrics,
             guard=self.guard,
-            shared_literal_pools=config.shared_literal_pools,
             literal_pool_max_entries=config.literal_pool_max_entries,
         )
         self.verifier = IncrementalVerifier(

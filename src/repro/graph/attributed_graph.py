@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Any,
     Dict,
     FrozenSet,
@@ -40,6 +41,9 @@ try:  # numpy-free installs score δ on the pure-Python paths
     from repro.graph.gower_columns import GowerColumn, GowerColumns
 except ImportError:  # pragma: no cover - exercised by the numpy-free CI matrix
     GowerColumns = None
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (indexes → here)
+    from repro.graph.indexes import GraphIndexes
 
 #: Type alias for attribute values stored on nodes.
 AttrValue = Any
@@ -110,6 +114,9 @@ class AttributedGraph:
         self._frozen = False
         self._gower: Optional["GowerColumns"] = None
         self._ball: Optional[BallKernel] = None
+        self._indexes: Optional["GraphIndexes"] = None
+        self._domains: Dict[Tuple[str, Optional[str]], List[AttrValue]] = {}
+        self._label_attributes: Dict[str, Tuple[str, ...]] = {}
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -127,8 +134,7 @@ class AttributedGraph:
             raise GraphError(f"duplicate node id {node_id}")
         node = Node(node_id, label, dict(attributes or {}))
         self._nodes[node_id] = node
-        self._gower = None  # label orders changed
-        self._ball = None
+        self.clear_caches()  # label orders and domains changed
         self._out[node_id] = {}
         self._in[node_id] = {}
         self._by_label.setdefault(label, set()).add(node_id)
@@ -153,6 +159,7 @@ class AttributedGraph:
             self._edge_count += 1
             self._edge_labels.add(label)
             self._ball = None
+            self._indexes = None
         return Edge(source, target, label)
 
     def freeze(self) -> "AttributedGraph":
@@ -163,6 +170,35 @@ class AttributedGraph:
     def _check_mutable(self) -> None:
         if self._frozen:
             raise GraphError("graph is frozen; build a new graph instead")
+
+    # ------------------------------------------------------------------ #
+    # Derived state
+    # ------------------------------------------------------------------ #
+    #
+    # Everything below is a pure function of the graph, built on first
+    # use and shared by every config, matcher, measure and serving context
+    # on this graph: the indexes (attribute tables, adjacency rows,
+    # literal masks), active domains, per-label attribute names, the Gower
+    # columns and the ball kernel. ``add_node`` drops all of it,
+    # ``add_edge`` what depends on edges, and the in-place hooks below
+    # repair it. None of it refers back to the graph object itself.
+
+    def clear_caches(self) -> None:
+        """Drop every piece of derived state; each rebuilds on next use."""
+        self._gower = None
+        self._ball = None
+        self._indexes = None
+        self._domains.clear()
+        self._label_attributes.clear()
+
+    def indexes(self) -> "GraphIndexes":
+        """The graph's :class:`~repro.graph.indexes.GraphIndexes` (built on
+        first use, repaired by the in-place hooks)."""
+        if self._indexes is None:
+            from repro.graph.indexes import GraphIndexes
+
+            self._indexes = GraphIndexes(self)
+        return self._indexes
 
     # ------------------------------------------------------------------ #
     # Gower columns (the vectorised δ kernel's input)
@@ -211,19 +247,16 @@ class AttributedGraph:
                 return None
         return self._ball
 
-    def _splice_ball(self, source: int, target: int, label: str, inserted: bool) -> None:
-        if self._ball is not None:
-            self._ball.splice_edge(source, target, label, inserted, self.neighbors)
-
     # ------------------------------------------------------------------ #
     # In-place maintenance (streaming layer only)
     # ------------------------------------------------------------------ #
     #
     # These three methods deliberately bypass the freeze contract: the
-    # streaming session (repro.streaming) owns the graph it mutates and
-    # repairs every dependent index in the same update transaction, so
-    # the "frozen = indexes never go stale" invariant is preserved at the
-    # session boundary. Nothing else should call them — algorithms keep
+    # streaming session (repro.streaming) owns the graph it mutates. Each
+    # repairs the graph-owned derived state it touches before returning,
+    # so that state never goes stale; caches the caller keeps itself
+    # (verifier memos, engine-local literal pools, scores) are the
+    # caller's to repair. Nothing else should call them — algorithms keep
     # treating graphs as immutable.
 
     def _insert_edge_in_place(self, source: int, target: int, label: str) -> bool:
@@ -239,7 +272,7 @@ class AttributedGraph:
         self._in[target].setdefault(label, set()).add(source)
         self._edge_count += 1
         self._edge_labels.add(label)
-        self._splice_ball(source, target, label, inserted=True)
+        self._edge_changed(source, target, label, inserted=True)
         return True
 
     def _delete_edge_in_place(self, source: int, target: int, label: str) -> None:
@@ -260,7 +293,15 @@ class AttributedGraph:
         if not sources:
             del self._in[target][label]
         self._edge_count -= 1
-        self._splice_ball(source, target, label, inserted=False)
+        self._edge_changed(source, target, label, inserted=False)
+
+    def _edge_changed(self, source: int, target: int, label: str, inserted: bool) -> None:
+        """Repair the edge-derived state: splice the ball kernel, drop the
+        endpoints' adjacency rows."""
+        if self._ball is not None:
+            self._ball.splice_edge(source, target, label, inserted, self.neighbors)
+        if self._indexes is not None:
+            self._indexes.bitsets.drop_rows((source, target))
 
     def _set_attribute_in_place(
         self, node_id: int, name: str, value: Optional[AttrValue]
@@ -279,10 +320,16 @@ class AttributedGraph:
         else:
             attributes[name] = value
         self._nodes[node_id] = Node(node_id, node.label, attributes)
+        label = node.label
         if self._gower is not None:
-            self._gower.patch(
-                node.label, name, node_id, value, self._by_label[node.label], self._nodes
-            )
+            self._gower.patch(label, name, node_id, value, self._by_label[label], self._nodes)
+        if self._indexes is not None:
+            self._indexes.attributes.drop_tables(((label, name),))
+            self._indexes.literal_masks.repair(label, name, node_id, value)
+        self._domains.pop((name, label), None)
+        self._domains.pop((name, None), None)
+        if (name in node.attributes) != (name in attributes):
+            self._label_attributes.pop(label, None)
         return old
 
     # ------------------------------------------------------------------ #
@@ -426,24 +473,40 @@ class AttributedGraph:
             names.update(node.attributes.keys())
         return frozenset(names)
 
+    def label_attribute_names(self, label: str) -> Tuple[str, ...]:
+        """Sorted names of the attributes some node with ``label`` carries
+        (memoized; dropped when a name appears on or leaves a node)."""
+        names = self._label_attributes.get(label)
+        if names is None:
+            found: Set[str] = set()
+            for node_id in self._by_label.get(label, ()):
+                found.update(self._nodes[node_id].attributes)
+            names = self._label_attributes[label] = tuple(sorted(found))
+        return names
+
     def active_domain(self, attribute: str, label: Optional[str] = None) -> List[AttrValue]:
         """``adom(A)`` — sorted distinct values of ``attribute``.
 
         When ``label`` is given, only nodes with that label contribute,
         which is the domain the spawner actually enumerates (predicates are
-        anchored at a labeled query node).
+        anchored at a labeled query node). Memoized per
+        ``(attribute, label)``; every call returns a fresh list.
         """
-        ids: Iterable[int]
-        if label is None:
-            ids = self._nodes.keys()
-        else:
-            ids = self._by_label.get(label, ())
-        values = {
-            self._nodes[i].attributes[attribute]
-            for i in ids
-            if attribute in self._nodes[i].attributes
-        }
-        return sorted(values, key=_sort_key)
+        key = (attribute, label)
+        domain = self._domains.get(key)
+        if domain is None:
+            ids: Iterable[int]
+            if label is None:
+                ids = self._nodes.keys()
+            else:
+                ids = self._by_label.get(label, ())
+            values = {
+                self._nodes[i].attributes[attribute]
+                for i in ids
+                if attribute in self._nodes[i].attributes
+            }
+            domain = self._domains[key] = sorted(values, key=_sort_key)
+        return list(domain)
 
     # ------------------------------------------------------------------ #
     # Interop

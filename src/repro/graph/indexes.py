@@ -11,17 +11,32 @@ materialized adjacency rows — one Python integer per data node in a
 table per ``(label, edge label, direction, neighbor label)`` relation —
 which is the substrate of the bitset matching engine
 (:mod:`repro.matching.bitset`): candidate pools become integer bitmasks
-and support checks become single AND operations.
+and support checks become single AND operations. :class:`LiteralMasks`
+memoizes literal masks over those enumerations.
+
+Every graph owns one :class:`GraphIndexes`
+(:meth:`~repro.graph.attributed_graph.AttributedGraph.indexes`), which its
+in-place hooks repair. The indexes hold the graph's node, label and
+adjacency containers, never the graph itself, so a graph and its indexes
+form no reference cycle.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+import threading
+from collections import OrderedDict
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.graph.attributed_graph import AttributedGraph, _sort_key
+from repro.graph.attributed_graph import _sort_key
 from repro.graph.ball import HAVE_NUMPY, mask_positions
 from repro.query.predicates import Op
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.graph.attributed_graph import AttributedGraph
+
+#: LRU bound of a graph's :class:`LiteralMasks` memo.
+LITERAL_MASK_ENTRIES = 4096
 
 
 class AttributeIndex:
@@ -34,23 +49,26 @@ class AttributeIndex:
     three-valued semantics collapsed to False.
     """
 
-    def __init__(self, graph: AttributedGraph) -> None:
-        self._graph = graph
+    def __init__(self, graph: "AttributedGraph") -> None:
+        self._nodes = graph._nodes
+        self._by_label = graph._by_label
         self._sorted: Dict[Tuple[str, str], Tuple[List[Any], List[int]]] = {}
+
+    def _value(self, node_id: int, attribute: str) -> Any:
+        return self._nodes[node_id].attributes.get(attribute)
 
     def _table(self, label: str, attribute: str) -> Tuple[List[Any], List[int]]:
         key = (label, attribute)
         table = self._sorted.get(key)
         if table is None:
-            entries: List[Tuple[Tuple[int, Any], Any, int]] = []
-            for node_id in self._graph.nodes_with_label(label):
-                value = self._graph.attribute(node_id, attribute)
+            nodes = self._nodes
+            entries: List[Tuple[Tuple[int, Any], int]] = []
+            for node_id in self._by_label.get(label, ()):
+                value = nodes[node_id].attributes.get(attribute)
                 if value is not None:
-                    entries.append((_sort_key(value), value, node_id))
-            entries.sort(key=lambda item: item[0])
-            keys = [item[0] for item in entries]
-            ids = [item[2] for item in entries]
-            table = (keys, ids)
+                    entries.append((_sort_key(value), node_id))
+            entries.sort()
+            table = ([item[0] for item in entries], [item[1] for item in entries])
             self._sorted[key] = table
         return table
 
@@ -105,8 +123,8 @@ class AttributeIndex:
         lo, hi, filtered = self._bounds(keys, op, constant)
         if not filtered:
             return ids[lo:hi]
-        attribute_of = self._graph.attribute
-        return [v for v in ids[lo:hi] if op.evaluate(attribute_of(v, attribute), constant)]
+        value = self._value
+        return [v for v in ids[lo:hi] if op.evaluate(value(v, attribute), constant)]
 
     def matching_nodes(self, label: str, attribute: str, op: Op, constant: Any) -> Set[int]:
         """Node ids with ``label`` whose ``attribute op constant`` holds
@@ -125,7 +143,7 @@ class AttributeIndex:
         previous: Optional[Tuple[int, Any]] = None
         for key, node_id in zip(keys, ids):
             if key != previous:
-                out.append(self._graph.attribute(node_id, attribute))
+                out.append(self._value(node_id, attribute))
                 previous = key
         return out
 
@@ -149,8 +167,11 @@ class BitsetIndex:
     across thousands of lattice siblings.
     """
 
-    def __init__(self, graph: AttributedGraph) -> None:
-        self._graph = graph
+    def __init__(self, graph: "AttributedGraph") -> None:
+        self._nodes = graph._nodes
+        self._by_label = graph._by_label
+        self._out = graph._out
+        self._in = graph._in
         self._order: Dict[str, Tuple[int, ...]] = {}
         self._position: Dict[str, Dict[int, int]] = {}
         self._full: Dict[str, int] = {}
@@ -162,7 +183,7 @@ class BitsetIndex:
         """Node ids of ``label`` in bit-position order (ascending ids)."""
         cached = self._order.get(label)
         if cached is None:
-            cached = self._order[label] = tuple(sorted(self._graph.nodes_with_label(label)))
+            cached = self._order[label] = tuple(sorted(self._by_label.get(label, ())))
         return cached
 
     def positions(self, label: str) -> Dict[int, int]:
@@ -250,12 +271,8 @@ class BitsetIndex:
         row = table[position]
         if row is None:
             node_id = self.order(label)[position]
-            neighbors = (
-                self._graph.successors(node_id, edge_label)
-                if outgoing
-                else self._graph.predecessors(node_id, edge_label)
-            )
-            row = self.mask_of(neighbor_label, neighbors)
+            adjacency = self._out if outgoing else self._in
+            row = self.mask_of(neighbor_label, adjacency[node_id].get(edge_label, ()))
             if row and not row & (row - 1):
                 row = ~(row.bit_length() - 1)
             table[position] = row
@@ -269,7 +286,7 @@ class BitsetIndex:
         ``outgoing=True`` reads successors (edges ``node_id → ·``),
         ``False`` predecessors.
         """
-        label = self._graph.label(node_id)
+        label = self._nodes[node_id].label
         position = self.positions(label)[node_id]
         row = self.row(position, label, edge_label, outgoing, neighbor_label)
         return 1 << ~row if row < 0 else row
@@ -285,7 +302,7 @@ class BitsetIndex:
         """
         touched = set(nodes)
         dropped = 0
-        for (label, _, _, _), table in self._rows.items():
+        for (label, _, _, _), table in list(self._rows.items()):
             positions = self.positions(label)
             for node in touched:
                 position = positions.get(node)
@@ -300,52 +317,103 @@ class BitsetIndex:
         return sum(len(table) - table.count(None) for table in self._rows.values())
 
 
+class LiteralMasks:
+    """Bounded memo ``(label, attribute, op, constant) → candidate mask``.
+
+    Masks are over the :class:`BitsetIndex` enumerations of the same
+    :class:`GraphIndexes`, so every engine verifying against one graph can
+    reuse them: an engine-local
+    :class:`~repro.matching.bitset.LiteralPoolCache` miss is served from
+    here before it computes. The key space is open-ended (every template
+    and domain value ever served), so the memo is an LRU bounded by
+    :data:`LITERAL_MASK_ENTRIES`. Engines on several threads share it, so
+    every read and write holds one lock. An in-place attribute update
+    repairs the touched node's bit in the masks of the touched pair
+    (:meth:`repair`); edge updates never change a literal mask.
+    """
+
+    def __init__(self, bitsets: BitsetIndex) -> None:
+        self._bitsets = bitsets
+        self._lock = threading.Lock()
+        self._masks: "OrderedDict[Tuple, int]" = OrderedDict()
+        self._by_pair: Dict[Tuple[str, str], Set[Tuple]] = {}
+
+    def __len__(self) -> int:
+        return len(self._masks)
+
+    def lookup(self, key: Tuple) -> Optional[int]:
+        """The memoized mask of ``key``, refreshed as most recently used."""
+        with self._lock:
+            mask = self._masks.get(key)
+            if mask is not None:
+                self._masks.move_to_end(key)
+            return mask
+
+    def store(self, key: Tuple, mask: int) -> None:
+        """Memoize ``mask``, evicting the least recently used key when full."""
+        with self._lock:
+            if key in self._masks:
+                self._masks.move_to_end(key)
+            else:
+                self._by_pair.setdefault(key[:2], set()).add(key)
+            self._masks[key] = mask
+            if len(self._masks) > LITERAL_MASK_ENTRIES:
+                evicted, _ = self._masks.popitem(last=False)
+                pair = self._by_pair[evicted[:2]]
+                pair.discard(evicted)
+                if not pair:
+                    del self._by_pair[evicted[:2]]
+
+    def repair(self, label: str, attribute: str, node_id: int, value: Any) -> int:
+        """Re-test ``node_id``'s bit in every memoized mask over
+        ``(label, attribute)`` against its new ``value`` (None = removed).
+
+        Costs one literal test per memoized mask of the pair. Returns how
+        many masks were repaired.
+        """
+        with self._lock:
+            keys = self._by_pair.get((label, attribute))
+            if not keys:
+                return 0
+            bit = 1 << self._bitsets.positions(label)[node_id]
+            for key in keys:
+                if key[2].evaluate(value, key[3]):
+                    self._masks[key] |= bit
+                else:
+                    self._masks[key] &= ~bit
+            return len(keys)
+
+
 class GraphIndexes:
     """Bundle of all per-graph indexes, built lazily and shared.
 
-    Algorithms receive a single :class:`GraphIndexes` so index construction
-    is amortized across the many instance verifications of one generation
-    run.
+    A graph's own bundle (:meth:`AttributedGraph.indexes
+    <repro.graph.attributed_graph.AttributedGraph.indexes>`) is shared by
+    every config, matcher and serving context on that graph, so index
+    construction is paid once per graph, not once per run. The graph's
+    in-place hooks repair it: an edge update drops the endpoints'
+    adjacency rows, an attribute update drops the pair's sorted table and
+    repairs its literal masks. Label enumerations, inverse positions and
+    full masks describe the node set, which in-place updates never change.
+    A bundle built directly with ``GraphIndexes(graph)`` is private to its
+    caller and is not repaired.
     """
 
-    def __init__(self, graph: AttributedGraph) -> None:
-        self.graph = graph
+    def __init__(self, graph: "AttributedGraph") -> None:
+        self._by_label = graph._by_label
         self.attributes = AttributeIndex(graph)
         self.bitsets = BitsetIndex(graph)
-
-    def repair(
-        self,
-        touched_nodes: Iterable[int],
-        touched_attributes: Iterable[Tuple[str, str]] = (),
-    ) -> Tuple[int, int]:
-        """Scoped invalidation after an in-place graph delta.
-
-        Drops exactly the cached state the delta can have stale-ified:
-        adjacency rows anchored at touched nodes (edge inserts/deletes)
-        and sorted attribute tables for touched (label, attribute) pairs.
-        Label pools, bitset enumerations and full masks describe the node
-        set, which in-place deltas never change, so they survive — that
-        asymmetry is the streaming layer's headline saving over a full
-        ``GraphContext.invalidate()``. The graph-owned ball kernel, whose
-        edge arrays the AC-3 support sweeps read, was already spliced by
-        the graph's in-place hooks when the delta applied.
-
-        Returns ``(rows_dropped, tables_dropped)``.
-        """
-        rows = self.bitsets.drop_rows(touched_nodes)
-        tables = self.attributes.drop_tables(touched_attributes)
-        return rows, tables
+        self.literal_masks = LiteralMasks(self.bitsets)
 
     def warm(self, labels: Optional[Iterable[str]] = None) -> None:
         """Pre-build the cheap per-label state (serving cold-start cut).
 
         Materializes the bitset enumerations, inverse positions and full
         masks for ``labels`` (default: every node label), so the first
-        request served from a shared :class:`GraphIndexes` does not pay
-        them. Adjacency rows and attribute tables stay lazy — their key
-        space is workload-dependent and pre-building all of them would
-        dwarf a request.
+        request served does not pay them. Adjacency rows and attribute
+        tables stay lazy — their key space is workload-dependent and
+        pre-building all of them would dwarf a request.
         """
-        for label in labels if labels is not None else self.graph.node_labels():
+        for label in labels if labels is not None else list(self._by_label):
             self.bitsets.positions(label)
             self.bitsets.full_mask(label)

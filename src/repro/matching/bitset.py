@@ -10,11 +10,10 @@ the three hot loops of instance verification become bit-parallel:
   query node's initial pool is the AND of its label pool with those masks.
   Lattice siblings differ in a single range-variable binding, so across a
   generation run almost every literal mask is a cache hit and a sibling's
-  pools cost one intersection each. The engine-local cache can in turn be
-  backed by a workload-scoped :class:`WorkloadLiteralPools` (the serving
-  layer's tier-2 cache, owned by
-  :class:`~repro.service.context.GraphContext`), so masks computed by one
-  run of a batch are reused by every later run over the same graph;
+  pools cost one intersection each. A miss of the engine-local cache is
+  served from the graph's own memo
+  (:class:`~repro.graph.indexes.LiteralMasks`), so masks computed by one
+  run are reused by every later run over the same graph;
 * **arc-consistency support checks** — per query-edge constraint and
   pool size, one of two exact ways: a large pool takes the constraint's
   whole support set in one numpy sweep over the graph's edge arrays
@@ -27,7 +26,7 @@ the three hot loops of instance verification become bit-parallel:
   which also subsumes the per-edge consistency re-check.
 
 The engine publishes its work under ``matcher.bitset.*`` (literal-pool
-hits/misses, mask intersections, support sweeps) on top of the shared
+hits/misses/shared hits, mask intersections, support sweeps) on top of the shared
 ``matcher.*`` counters, and returns :class:`MatchResult` objects carrying only the
 candidate *masks*: the incremental verifier seeds a child's pools from
 them directly, and the per-node id sets are built only when a caller
@@ -38,13 +37,27 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict, deque
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.graph.indexes import BitsetIndex, GraphIndexes
 from repro.obs.registry import MetricsRegistry
 from repro.query.instance import QueryInstance
 from repro.query.predicates import Literal
 from repro.runtime.budget import NULL_GUARD, ExecutionGuard
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.graph.attributed_graph import AttributedGraph
 
 #: Per-query-node candidate masks.
 MaskMap = Dict[str, int]
@@ -161,105 +174,6 @@ class MatchResult:
         )
 
 
-class WorkloadLiteralPools:
-    """Workload-scoped tier of the literal-pool hierarchy.
-
-    An LRU-bounded memo of *canonical predicate signatures*
-    ``(label, attribute, op, constant) → candidate mask`` shared by every
-    engine that serves requests against the same graph. One
-    :class:`~repro.service.context.GraphContext` owns exactly one of
-    these next to its shared :class:`~repro.graph.indexes.GraphIndexes`,
-    because the cached masks are only meaningful relative to that index's
-    per-label bit enumerations — invalidating the context drops both
-    together.
-
-    Unlike the engine-local :class:`LiteralPoolCache`, whose key space is
-    bounded by one template's variables × active domains, a workload sees
-    an open-ended stream of templates, so this tier is bounded: ``max_entries``
-    caps the memo and least-recently-used masks are evicted. Effectiveness
-    is published under ``service.workload_pool.*`` (hits / misses /
-    evictions, gauge ``size``).
-    """
-
-    def __init__(
-        self,
-        metrics: Optional[MetricsRegistry] = None,
-        max_entries: Optional[int] = 4096,
-    ) -> None:
-        if max_entries is not None and max_entries <= 0:
-            raise ValueError("max_entries must be positive or None")
-        self._metrics = metrics or MetricsRegistry()
-        self._max_entries = max_entries
-        self._masks: "OrderedDict[Tuple, int]" = OrderedDict()
-        self._metrics.counter("service.workload_pool.hits")
-        self._metrics.counter("service.workload_pool.misses")
-        self._metrics.counter("service.workload_pool.evictions")
-
-    def __len__(self) -> int:
-        return len(self._masks)
-
-    @property
-    def max_entries(self) -> Optional[int]:
-        """The LRU bound (None = unbounded)."""
-        return self._max_entries
-
-    def lookup(self, key: Tuple) -> Optional[int]:
-        """The cached mask for a canonical predicate signature, if any."""
-        mask = self._masks.get(key)
-        if mask is None:
-            self._metrics.inc("service.workload_pool.misses")
-            return None
-        self._masks.move_to_end(key)
-        self._metrics.inc("service.workload_pool.hits")
-        return mask
-
-    def store(self, key: Tuple, mask: int) -> None:
-        """Memoize a freshly computed mask, evicting the LRU entry if full."""
-        if key in self._masks:
-            self._masks.move_to_end(key)
-        self._masks[key] = mask
-        if self._max_entries is not None and len(self._masks) > self._max_entries:
-            self._masks.popitem(last=False)
-            self._metrics.inc("service.workload_pool.evictions")
-        self._metrics.set("service.workload_pool.size", len(self._masks))
-
-    def clear(self) -> None:
-        """Drop every cached mask (graph invalidation)."""
-        self._masks.clear()
-        self._metrics.set("service.workload_pool.size", 0)
-
-    def invalidate_attributes(self, pairs: Iterable[Tuple[str, str]]) -> int:
-        """Drop the masks of the given (label, attribute) pairs only.
-
-        The streaming repair path after an in-place attribute update:
-        literal masks are pure functions of attribute values over a fixed
-        bit enumeration, so an *edge* delta invalidates nothing here and
-        an attribute delta invalidates exactly the touched pairs — every
-        other workload mask stays warm. Returns the number of masks
-        dropped (also counted under ``service.workload_pool.repairs``).
-        """
-        touched = set(pairs)
-        stale = [
-            key
-            for key in self._masks
-            if len(key) == 4 and (key[0], key[1]) in touched
-        ]
-        for key in stale:
-            del self._masks[key]
-        if stale:
-            self._metrics.inc("service.workload_pool.repairs", len(stale))
-            self._metrics.set("service.workload_pool.size", len(self._masks))
-        return len(stale)
-
-    @property
-    def hit_rate(self) -> float:
-        """Lifetime hit rate (0.0 before any probe)."""
-        hits = self._metrics.value("service.workload_pool.hits")
-        misses = self._metrics.value("service.workload_pool.misses")
-        total = hits + misses
-        return hits / total if total else 0.0
-
-
 class LiteralPoolCache:
     """Engine-local memo ``(label, attribute, op, constant) → candidate mask``.
 
@@ -268,8 +182,10 @@ class LiteralPoolCache:
     dictionary hits, so a sibling's initial pools resolve with one AND per
     literal. Entries live as long as the engine — one generation run when
     the engine is run-owned, the whole serving session when the engine is
-    reused — and an optional ``shared`` :class:`WorkloadLiteralPools`
-    backs misses so masks survive across runs of a batch.
+    reused. Misses are served from the indexes' shared
+    :class:`~repro.graph.indexes.LiteralMasks` memo when it holds the mask
+    (counted under ``matcher.bitset.literal_pool_shared_hits``), so masks
+    survive across runs over one graph.
 
     Eviction: for a single template the key space is bounded by the
     template's variables × their active domains, so the cache is unbounded
@@ -283,18 +199,18 @@ class LiteralPoolCache:
         self,
         indexes: GraphIndexes,
         metrics: MetricsRegistry,
-        shared: Optional[WorkloadLiteralPools] = None,
         max_entries: Optional[int] = None,
     ) -> None:
         if max_entries is not None and max_entries <= 0:
             raise ValueError("max_entries must be positive or None")
         self._indexes = indexes
         self._metrics = metrics
-        self._shared = shared
+        self._shared = indexes.literal_masks
         self._max_entries = max_entries
         self._masks: "OrderedDict[Tuple, int]" = OrderedDict()
         metrics.counter("matcher.bitset.literal_pool_hits")
         metrics.counter("matcher.bitset.literal_pool_misses")
+        metrics.counter("matcher.bitset.literal_pool_shared_hits")
         if max_entries is not None:
             metrics.counter("matcher.bitset.literal_pool_evictions")
 
@@ -310,16 +226,16 @@ class LiteralPoolCache:
             self._metrics.inc("matcher.bitset.literal_pool_misses")
             return self._compute(label, literal)
         if cached is None:
-            # A local miss still counts as a miss even when the workload
-            # tier saves the recomputation — the counters describe *this*
-            # engine's cache; the shared tier keeps its own.
+            # A local miss still counts as a miss when the shared memo
+            # saves the recomputation: the hit/miss pair describes *this*
+            # engine's cache, the shared hits how many misses were cheap.
             self._metrics.inc("matcher.bitset.literal_pool_misses")
-            if self._shared is not None:
-                cached = self._shared.lookup(key)
+            cached = self._shared.lookup(key)
             if cached is None:
                 cached = self._compute(label, literal)
-                if self._shared is not None:
-                    self._shared.store(key, cached)
+                self._shared.store(key, cached)
+            else:
+                self._metrics.inc("matcher.bitset.literal_pool_shared_hits")
             self._store(key, cached)
         else:
             self._metrics.inc("matcher.bitset.literal_pool_hits")
@@ -330,11 +246,9 @@ class LiteralPoolCache:
     def invalidate_attributes(self, pairs: Iterable[Tuple[str, str]]) -> int:
         """Drop cached masks over the given (label, attribute) pairs.
 
-        The engine-local counterpart of
-        :meth:`WorkloadLiteralPools.invalidate_attributes` — after an
-        in-place attribute update, masks keyed on a touched pair describe
-        the old values while every other mask stays valid (edge deltas
-        never stale literal masks at all). Returns the drop count.
+        After an in-place attribute update, masks keyed on a touched pair
+        describe the old values while every other mask stays valid (edge
+        deltas never stale literal masks at all). Returns the drop count.
         """
         touched = set(pairs)
         stale = [key for key in self._masks if (key[0], key[1]) in touched]
@@ -344,6 +258,7 @@ class LiteralPoolCache:
 
     def repair_attributes(
         self,
+        graph: "AttributedGraph",
         touched_nodes: Iterable[int],
         pairs: Iterable[Tuple[str, str]],
     ) -> int:
@@ -354,15 +269,15 @@ class LiteralPoolCache:
         an in-place attribute update changes those outcomes only for the
         touched nodes — so instead of dropping the mask (and paying a full
         O(label) recomputation on the next probe) each touched node's bit
-        is recomputed against its new value. Cost is
-        O(touched × stale masks); every untouched bit stays verbatim.
-        Returns the number of masks repaired.
+        is recomputed against its new value in ``graph`` (the mutated
+        graph these indexes describe). Cost is O(touched × stale masks);
+        every untouched bit stays verbatim. Returns the number of masks
+        repaired.
         """
         touched = set(pairs)
         stale = [key for key in self._masks if (key[0], key[1]) in touched]
         if not stale:
             return 0
-        graph = self._indexes.graph
         nodes = list(touched_nodes)
         for key in stale:
             label, attribute, op, constant = key
@@ -413,40 +328,37 @@ class BitsetEngine:
     shared ``matcher.*`` counters plus ``matcher.bitset.*``.
 
     Args:
-        indexes: Shared graph indexes (owns the bitset enumerations).
+        graph: The data graph (its ball kernel serves the AC-3 sweeps).
+        indexes: The graph's indexes (owns the bitset enumerations);
+            ``graph.indexes()`` when omitted.
         injective: Subgraph-isomorphism semantics switch.
         metrics: Registry receiving ``matcher.*`` and ``matcher.bitset.*``.
         guard: The run's :class:`~repro.runtime.budget.ExecutionGuard`,
             probed at the backtracking-sweep loop heads. Defaults to the
             inert guard.
-        shared_literal_pools: Optional workload-scoped
-            :class:`WorkloadLiteralPools` backing the engine-local literal
-            cache (the serving layer's tier-2 cache). Never changes match
-            results — masks are pure functions of the shared indexes.
         literal_pool_max_entries: Optional LRU bound on the engine-local
             literal cache (None = unbounded).
     """
 
     def __init__(
         self,
-        indexes: GraphIndexes,
+        graph: "AttributedGraph",
+        indexes: Optional[GraphIndexes] = None,
         injective: bool = False,
         metrics: Optional[MetricsRegistry] = None,
         guard: Optional[ExecutionGuard] = None,
-        shared_literal_pools: Optional[WorkloadLiteralPools] = None,
         literal_pool_max_entries: Optional[int] = None,
     ) -> None:
+        if indexes is None:
+            indexes = graph.indexes()
         self.indexes = indexes
-        self.graph = indexes.graph
+        self.graph = graph
         self.bitsets = indexes.bitsets
         self.injective = injective
         self.metrics = metrics or MetricsRegistry()
         self.guard = guard if guard is not None else NULL_GUARD
         self.literal_pools = LiteralPoolCache(
-            indexes,
-            self.metrics,
-            shared=shared_literal_pools,
-            max_entries=literal_pool_max_entries,
+            indexes, self.metrics, max_entries=literal_pool_max_entries
         )
         for name in (
             "matcher.match_calls",

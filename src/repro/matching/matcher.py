@@ -28,13 +28,14 @@ __all__ = ["MatchResult", "SubgraphMatcher"]
 class SubgraphMatcher:
     """Evaluates query instances over one attributed graph.
 
-    The matcher is stateless across calls except for the shared
+    The matcher is stateless across calls except for the graph's shared
     :class:`~repro.graph.indexes.GraphIndexes` and its engine's literal
     cache, so a single instance is reused for a whole generation run.
 
     Args:
         graph: The data graph.
-        indexes: Optional pre-built indexes (built lazily otherwise).
+        indexes: Optional indexes over ``graph`` (default: the graph's
+            own, :meth:`~repro.graph.attributed_graph.AttributedGraph.indexes`).
         injective: If True, require distinct query nodes to map to
             distinct data nodes (subgraph-isomorphism semantics). The
             paper's definition is the non-injective one; the switch exists
@@ -46,10 +47,6 @@ class SubgraphMatcher:
             probed at the backtracking-sweep loop heads so a
             ``max_backtracks`` or deadline budget can stop matching
             mid-sweep. Defaults to the inert guard.
-        shared_literal_pools: Optional workload-scoped
-            :class:`~repro.matching.bitset.WorkloadLiteralPools` backing
-            the engine's literal cache across runs (the serving layer's
-            tier-2 cache).
         literal_pool_max_entries: Optional LRU bound on the engine's
             local literal cache (None = unbounded).
     """
@@ -61,20 +58,19 @@ class SubgraphMatcher:
         injective: bool = False,
         metrics: Optional[MetricsRegistry] = None,
         guard: Optional[ExecutionGuard] = None,
-        shared_literal_pools=None,
         literal_pool_max_entries: Optional[int] = None,
     ) -> None:
         self.graph = graph
-        self.indexes = indexes or GraphIndexes(graph)
+        self.indexes = indexes or graph.indexes()
         self.injective = injective
         self.metrics = metrics or MetricsRegistry()
         self.guard = guard if guard is not None else NULL_GUARD
         self.engine = BitsetEngine(
+            graph,
             self.indexes,
             injective=injective,
             metrics=self.metrics,
             guard=self.guard,
-            shared_literal_pools=shared_literal_pools,
             literal_pool_max_entries=literal_pool_max_entries,
         )
 
@@ -124,7 +120,9 @@ class SubgraphMatcher:
         masks repaired or dropped.
         """
         if touched_nodes is not None:
-            return self.engine.literal_pools.repair_attributes(touched_nodes, pairs)
+            return self.engine.literal_pools.repair_attributes(
+                self.graph, touched_nodes, pairs
+            )
         return self.engine.literal_pools.invalidate_attributes(pairs)
 
     def match_outputs(

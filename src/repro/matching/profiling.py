@@ -78,11 +78,10 @@ def profile_instance(
 ) -> InstanceProfile:
     """Run the matching pipeline stage by stage and record the funnel.
 
-    ``indexes`` lets callers profiling many instances of one graph reuse
-    a prebuilt :class:`GraphIndexes` instead of rebuilding the (graph-
-    sized) label and attribute indexes on every call.
+    ``indexes`` defaults to the graph's own :class:`GraphIndexes`, so
+    profiling many instances of one graph builds them once.
     """
-    matcher = SubgraphMatcher(graph, indexes or GraphIndexes(graph))
+    matcher = SubgraphMatcher(graph, indexes)
     after_literals, _ = matcher.engine._initial_masks(instance, None, None, _Work())
     counts_literals = {node: mask.bit_count() for node, mask in after_literals.items()}
     result = matcher.match(instance)

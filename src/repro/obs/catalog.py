@@ -84,6 +84,7 @@ _COUNTERS: Tuple[str, ...] = (
     "matcher.bitset.literal_pool_evictions",
     "matcher.bitset.literal_pool_hits",
     "matcher.bitset.literal_pool_misses",
+    "matcher.bitset.literal_pool_shared_hits",
     "matcher.bitset.mask_intersections",
     "matcher.bitset.support_sweeps",
     "matcher.empty_pool_short_circuits",
@@ -142,10 +143,6 @@ _COUNTERS: Tuple[str, ...] = (
     "service.requests",
     "service.requests.rejected",
     "service.truncated",
-    "service.workload_pool.evictions",
-    "service.workload_pool.hits",
-    "service.workload_pool.misses",
-    "service.workload_pool.repairs",
     # streaming
     "streaming.attrs_set",
     "streaming.budget_fallbacks",
@@ -176,7 +173,6 @@ _GAUGES: Tuple[str, ...] = (
     "runtime.budget.deadline_seconds",
     "scoring.cache_size",
     "scoring.state_size",
-    "service.workload_pool.size",
     "streaming.archive_size",
     "streaming.ledger_size",
 )

@@ -1,20 +1,18 @@
-"""Workload-scale serving: cache hierarchy + batch session service.
+"""Workload-scale serving: graph-owned caches + batch session service.
 
 Where the rest of the library thinks in single generation runs, this
-package thinks in *workloads* — k requests against one graph — and
-amortizes everything that is shared across them through a three-tier
-cache hierarchy:
-
-1. **process lifetime** — :class:`GraphContext` pins the built
-   :class:`~repro.graph.indexes.GraphIndexes` (label pools, attribute
-   tables, bitset enumerations, adjacency rows) with explicit
-   invalidation hooks for graph updates;
-2. **workload scope** — :class:`~repro.matching.bitset.WorkloadLiteralPools`
-   memoizes literal masks by canonical predicate signature across runs
-   (LRU-bounded, counted under ``service.workload_pool.*``);
-3. **run scope** — each request keeps its own ε-Pareto archive, verifier
-   memo and evaluator state, exactly as standalone runs do, which is why
-   batch results are identical to sequential ones.
+package thinks in *workloads* — k requests against one graph. Everything
+shared across them is a pure function of the graph, and the graph owns
+it: :meth:`AttributedGraph.indexes
+<repro.graph.attributed_graph.AttributedGraph.indexes>` (label pools,
+attribute tables, bitset enumerations, adjacency rows and a bounded
+literal-mask memo), active domains, Gower columns and the ball kernel are
+built once per graph and read by every request. :class:`GraphContext`
+pins the served graph, checks that configs are built for it and carries
+its invalidation hooks. Run-scoped state — each request's ε-Pareto
+archive, verifier memo and evaluator state — stays per request, exactly
+as in standalone runs, which is why batch results are identical to
+sequential ones.
 
 :class:`BatchScheduler` executes request batches on top (fair round-robin
 admission, canonical-template deduplication, per-request budgets,
@@ -25,11 +23,10 @@ For *open-ended* traffic, :class:`ServingDaemon` promotes the scheduler
 loop to a persistent asyncio daemon: JSONL wire format over a Unix
 socket or stdio, SLO-aware admission with per-tenant bounded queues and
 deficit-round-robin fairness (:mod:`repro.service.admission`), a pool of
-replicated :class:`GraphContext` workers with retry/exactly-once outcome
-accounting, and load shedding by truncated ε-Pareto partials.
+worker threads (one :class:`GraphContext` each, all reading the graph's
+one set of caches) with retry/exactly-once outcome accounting, and load shedding by truncated ε-Pareto partials.
 """
 
-from repro.matching.bitset import WorkloadLiteralPools
 from repro.service.admission import (
     AdmissionController,
     SHED_DEADLINE,
@@ -70,7 +67,6 @@ __all__ = [
     "SLOClass",
     "SLO_CLASSES",
     "ServingDaemon",
-    "WorkloadLiteralPools",
     "iter_requests_jsonl",
     "load_requests_jsonl",
     "outcome_to_dict",

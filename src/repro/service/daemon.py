@@ -6,9 +6,10 @@ admits a finite list and runs it to completion on the caller's thread.
 speaking the existing JSONL request/outcome wire format (over a Unix
 socket, stdio, or directly as parsed requests), SLO-aware admission with
 per-tenant bounded queues and deficit-round-robin scheduling
-(:mod:`repro.service.admission`), and a pool of replicated
-:class:`~repro.service.context.GraphContext` workers executing requests
-off the event loop.
+(:mod:`repro.service.admission`), and a pool of worker threads, one
+:class:`~repro.service.context.GraphContext` each, executing requests off
+the event loop; all of them read the graph's one set of indexes and
+literal masks.
 
 The contract the chaos/property harness enforces
 (``tests/integration/test_daemon_chaos.py``,
@@ -240,9 +241,9 @@ class ServingDaemon:
     Args:
         graph: The (frozen) data graph served.
         groups: Groups/constraints every request is generated under.
-        workers: Replicated :class:`GraphContext` count — each worker
-            owns its own indexes, literal pools and metrics registry, so
-            concurrent attempts never share mutable cache state.
+        workers: Worker count — each worker owns a :class:`GraphContext`
+            with its own metrics registry; all of them read the graph's
+            one set of indexes, literal masks and domains.
         defaults: Further per-request config defaults, same whitelist as
             request options.
         queue_depth: Per-tenant admission queue bound; offers beyond it
@@ -255,8 +256,8 @@ class ServingDaemon:
         attempt_timeout: Optional per-attempt wall-clock bound; an
             attempt exceeding it is abandoned as a straggler and the
             request retried on another worker.
-        warm / workload_pool_max_entries: Forwarded to every
-            worker context.
+        warm: Pre-build the graph's per-label index state before the
+            first request.
         faults: Optional seeded :class:`FaultInjector`; specs are keyed
             by submission sequence number (chaos harness hook).
         metrics: The daemon registry (``service.daemon.*`` /
@@ -274,7 +275,6 @@ class ServingDaemon:
         max_retries: int = 2,
         attempt_timeout: Optional[float] = None,
         warm: bool = True,
-        workload_pool_max_entries: Optional[int] = 4096,
         faults: Optional[FaultInjector] = None,
         metrics: Optional[MetricsRegistry] = None,
         default_template=None,
@@ -304,7 +304,6 @@ class ServingDaemon:
         self.faults = faults
         self.default_template = default_template
         self._warm = warm
-        self._pool_bound = workload_pool_max_entries
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.admission = AdmissionController(
             metrics=self.metrics, queue_depth=queue_depth
@@ -341,13 +340,8 @@ class ServingDaemon:
     # ------------------------------------------------------------------ #
 
     def _build_context(self) -> GraphContext:
-        """One replicated worker context with a private registry."""
-        return GraphContext(
-            self.graph,
-            metrics=MetricsRegistry(),
-            workload_pool_max_entries=self._pool_bound,
-            warm=self._warm,
-        )
+        """One worker context with a private registry."""
+        return GraphContext(self.graph, metrics=MetricsRegistry(), warm=self._warm)
 
     @property
     def workers(self) -> int:
@@ -586,7 +580,7 @@ class ServingDaemon:
         self._finish(entry, outcome, ledger)
 
     def _restart_worker(self, worker: int) -> None:
-        """Replace a crashed worker's context (fresh indexes and caches)."""
+        """Replace a crashed worker's context (fresh metrics registry)."""
         self._contexts[worker] = self._build_context()
         self.metrics.inc("service.daemon.worker_restarts")
 

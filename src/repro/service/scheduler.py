@@ -5,8 +5,9 @@ admits N :class:`~repro.service.requests.GenerationRequest`s with fair
 round-robin interleaving across clients, deduplicates requests whose
 :meth:`~repro.service.requests.GenerationRequest.canonical_signature`
 matches an earlier one, binds each surviving request's configuration to
-the shared :class:`~repro.service.context.GraphContext` (tier-1 indexes +
-tier-2 workload literal pools), runs it through the existing
+the shared :class:`~repro.service.context.GraphContext` (whose graph owns
+the indexes and literal masks every request reads), runs it through the
+existing
 :class:`~repro.runtime.budget.ExecutionGuard` budget machinery with the
 request's own deadline, and streams
 :class:`~repro.service.requests.RequestOutcome`s as they complete.
@@ -14,8 +15,8 @@ request's own deadline, and streams
 Isolation guarantees worth stating:
 
 * per-request results are **identical to a standalone run** of the same
-  configuration — the shared tiers cache pure functions of the frozen
-  graph, and each request still gets its own evaluator memo, verifier and
+  configuration — the graph-owned caches hold pure functions of the
+  frozen graph, and each request still gets its own evaluator memo, verifier and
   ε-Pareto archive (pinned by ``tests/integration/test_batch_service.py``);
 * one failing or budget-exhausted request never takes the batch down:
   budget exhaustion returns that request's truncated partial front, an
@@ -23,8 +24,9 @@ Isolation guarantees worth stating:
 
 Work is published under ``service.*`` on the context's registry (requests
 admitted / completed / failed / deduplicated / truncated, per-request
-latency histogram) next to the ``service.workload_pool.*`` cache
-counters, so one ``--metrics`` snapshot tells the whole serving story.
+latency histogram) next to the absorbed run counters (the
+``matcher.bitset.literal_pool_*`` cache counters among them), so one
+``--metrics`` snapshot tells the whole serving story.
 """
 
 from __future__ import annotations

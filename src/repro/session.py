@@ -12,13 +12,12 @@ selection/audit/explanation); this module wires the two common paths:
     >>> print(session.why(pick))               # edits vs the initial query
     >>> print(session.audit(pick).summary())   # fairness verdict
 
-* :class:`BatchSession` — one graph, many templates, served through the
-  shared cache hierarchy (:mod:`repro.service`):
+* :class:`BatchSession` — one graph, many templates, served over the
+  graph's shared indexes (:mod:`repro.service`):
 
     >>> batch = BatchSession(graph, groups)                   # doctest: +SKIP
     >>> outcomes = batch.run([batch.request(t, epsilon=0.1) for t in templates])
     ...                                                       # doctest: +SKIP
-    >>> batch.literal_pool_hit_rate                           # doctest: +SKIP
 
 * :class:`DaemonSession` — the same serving surface, but backed by the
   persistent multi-tenant daemon (:mod:`repro.service.daemon`): SLO-aware
@@ -63,10 +62,10 @@ class FairSQGSession:
         groups: Groups with coverage constraints.
         epsilon: ε of ε-dominance.
         algorithm: Generation algorithm class (default BiQGen).
-        context: Optional shared :class:`~repro.service.context.GraphContext`;
-            when given, this session reuses its built indexes and workload
-            literal pools instead of building private ones (results are
-            unchanged — only the cold-start cost moves).
+        context: Optional :class:`~repro.service.context.GraphContext`
+            serving ``graph``; the config is bound to it (checked to be
+            built for its graph and counted). Indexes are the graph's own
+            either way.
         **config_options: Forwarded to :class:`GenerationConfig`
             (``lam``, ``max_domain_values``, ``relevance``, ...).
     """
@@ -154,20 +153,18 @@ class FairSQGSession:
 class BatchSession:
     """Workload-scale serving facade: one graph, many generation requests.
 
-    Owns a :class:`~repro.service.context.GraphContext` (shared indexes +
-    workload literal pools) and a
-    :class:`~repro.service.scheduler.BatchScheduler`, so successive
-    batches against the same graph keep getting warmer. Per-request
-    results are identical to standalone runs — only the shared build work
-    is amortized.
+    Owns a :class:`~repro.service.context.GraphContext` and a
+    :class:`~repro.service.scheduler.BatchScheduler`; every request reads
+    the graph's own indexes and literal masks, so successive batches
+    against the same graph keep getting warmer. Per-request results are
+    identical to standalone runs — only the shared build work is
+    amortized.
 
     Args:
         graph: The data graph to serve.
         groups: Groups/constraints every request is generated under.
         metrics: Registry for ``service.*`` counters (private if omitted).
         warm: Pre-build per-label index state at construction.
-        workload_pool_max_entries: LRU bound of the workload literal-pool
-            cache.
         **defaults: Further per-request config defaults
             (``max_domain_values=4``, ...), overridable per request.
     """
@@ -178,15 +175,9 @@ class BatchSession:
         groups: GroupSystem,
         metrics: Optional[MetricsRegistry] = None,
         warm: bool = True,
-        workload_pool_max_entries: Optional[int] = 4096,
         **defaults,
     ) -> None:
-        self.context = GraphContext(
-            graph,
-            metrics=metrics,
-            workload_pool_max_entries=workload_pool_max_entries,
-            warm=warm,
-        )
+        self.context = GraphContext(graph, metrics=metrics, warm=warm)
         self.scheduler = BatchScheduler(self.context, groups, defaults=defaults)
         self._request_counter = 0
 
@@ -194,11 +185,6 @@ class BatchSession:
     def metrics(self) -> MetricsRegistry:
         """The serving registry (``service.*`` + absorbed run counters)."""
         return self.context.metrics
-
-    @property
-    def literal_pool_hit_rate(self) -> float:
-        """Lifetime workload literal-pool hit rate."""
-        return self.context.literal_pools.hit_rate
 
     def request(
         self,
@@ -240,7 +226,7 @@ class BatchSession:
         )
 
     def apply_delta(self, delta) -> None:
-        """Mutate the served graph (``G ⊕ Δ``) and invalidate every tier."""
+        """Serve ``G ⊕ Δ``: later requests run on the new graph."""
         self.context.apply_delta(delta)
 
 
@@ -261,8 +247,8 @@ class DaemonSession:
         workers: Replicated worker-context count.
         metrics: Registry for ``service.daemon.*`` / ``service.admission.*``
             counters (private if omitted).
-        queue_depth / max_retries / attempt_timeout / warm /
-            workload_pool_max_entries / faults: Forwarded to
+        queue_depth / max_retries / attempt_timeout / warm / faults:
+            Forwarded to
             :class:`~repro.service.daemon.ServingDaemon`.
         **defaults: Further per-request config defaults, overridable per
             request.
@@ -278,7 +264,6 @@ class DaemonSession:
         max_retries: int = 2,
         attempt_timeout: Optional[float] = None,
         warm: bool = True,
-        workload_pool_max_entries: Optional[int] = 4096,
         faults=None,
         **defaults,
     ) -> None:
@@ -291,7 +276,6 @@ class DaemonSession:
             max_retries=max_retries,
             attempt_timeout=attempt_timeout,
             warm=warm,
-            workload_pool_max_entries=workload_pool_max_entries,
             faults=faults,
             metrics=metrics,
         )

@@ -68,9 +68,10 @@ def apply_delta_in_place(graph: AttributedGraph, delta: GraphDelta) -> DeltaRece
     partial application on a bad delta), then applies deletions before
     insertions (an edge listed in both ends up present) and attribute
     updates last-wins per (node, attribute), mirroring the materializing
-    path exactly. Each hook call also repairs the graph-owned ball kernel
-    and Gower columns in place, so no separate invalidation step exists —
-    or is needed — here.
+    path exactly. Each hook call also repairs the graph-owned derived
+    state in place (ball kernel, Gower columns, indexes, literal-mask
+    memo, active domains, label attribute names), so no separate
+    invalidation step exists — or is needed — here.
     """
     validate_delta(graph, delta)
 

@@ -14,8 +14,9 @@ Per update, the session does strictly local work instead of a rebuild:
 
 1. **Graph + index repair** — the context's in-place path
    (:meth:`~repro.service.context.GraphContext.apply_delta_in_place`)
-   mutates the pinned graph and drops exactly the adjacency rows,
-   attribute tables and literal masks the delta staled.
+   mutates the pinned graph, whose hooks drop exactly the adjacency rows
+   and attribute tables the delta staled and repair the touched literal
+   masks bit by bit.
 2. **Delta-seeded re-verification** — only ledger entries whose answers
    intersect the two-sided d-hop influence ball of the touched nodes are
    re-matched, and only over the ball (:mod:`repro.streaming.reverify`).
@@ -309,10 +310,10 @@ class StreamingSession:
                 old_values[pair] = self.graph.attributes(node).get(name)
             final_values[pair] = value
 
-        # Phase 1 — mutate the pinned graph (its ball kernel splices the
-        # touched rows in place) and walk the new-side ball; repair shared
-        # indexes and the workload literal-pool tier (context-owned), then
-        # the evaluator's engine-local masks and match memos.
+        # Phase 1 — mutate the pinned graph (its hooks repair the ball
+        # kernel, indexes, literal-mask memo and domains it owns) and walk
+        # the new-side ball; then repair the evaluator's engine-local
+        # masks and match memos.
         receipt = self.context.apply_delta_in_place(delta)
         new_depths = ball_depths(self.graph, delta.touched_nodes, max_diameter)
         self.evaluator.invalidate_matches()

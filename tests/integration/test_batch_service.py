@@ -1,7 +1,7 @@
 """Differential tests for the batch serving layer.
 
-The serving contract: shared cache tiers (indexes + workload literal
-pools) change *cost only*, never results. Each test runs a workload
+The serving contract: the graph-owned caches (indexes, literal masks,
+domains) change *cost only*, never results. Each test runs a workload
 through :class:`repro.session.BatchSession` and compares every outcome
 element-wise against an independent standalone run of the same
 configuration — on both AC-3 paths of the matcher — plus invalidation
@@ -14,7 +14,7 @@ import json
 
 from repro.core.config import GenerationConfig
 from repro.datasets.lki import LKI_SCHEMA
-from repro.matching.delta import GraphDelta
+from repro.matching.delta import GraphDelta, apply_delta
 from repro.query.serialization import template_to_dict
 from repro.service.scheduler import ALGORITHMS
 from repro.session import BatchSession
@@ -90,14 +90,26 @@ class TestBatchMatchesStandalone:
         assert fronts[0] == fronts[1]
 
     def test_warm_reuse_hits_workload_pools(self, small_lki_bundle):
+        """Every engine-local literal miss of a repeated workload is served
+        by the graph's literal-mask memo."""
         bundle = small_lki_bundle
+        graph = apply_delta(bundle.graph, GraphDelta())  # cold copy
         requests = _workload(bundle)
-        batch = BatchSession(bundle.graph, bundle.groups, max_domain_values=4)
+        batch = BatchSession(graph, bundle.groups, max_domain_values=4)
+
+        def counts():
+            value = batch.metrics.value
+            return (
+                value("matcher.bitset.literal_pool_misses"),
+                value("matcher.bitset.literal_pool_shared_hits"),
+            )
+
         batch.run(requests)
-        first_rate = batch.literal_pool_hit_rate
+        misses, shared = counts()
+        assert 0 < shared < misses  # the cold pass computes some masks
         batch.run(requests)  # second pass over the same workload
-        assert batch.literal_pool_hit_rate > first_rate
-        assert batch.metrics.value("service.workload_pool.hits") > 0
+        warm_misses, warm_shared = counts()
+        assert warm_misses - misses == warm_shared - shared > 0
 
 
 class TestDeduplication:
@@ -129,7 +141,8 @@ class TestInvalidation:
         edge = next(iter(bundle.graph.edges()))
         batch.apply_delta(GraphDelta(delete_edges=(edge.key,)))
         assert batch.context.generation == 1
-        assert len(batch.context.literal_pools) == 0
+        assert batch.context.graph is not bundle.graph
+        assert len(batch.context.graph.indexes().literal_masks) == 0
 
         # Served results now describe the mutated graph, matching a
         # standalone run against that graph exactly.
@@ -163,7 +176,7 @@ class TestSessionSharing:
         bundle = small_lki_bundle
         batch = BatchSession(bundle.graph, bundle.groups, max_domain_values=4)
         session = batch.session(bundle.template, epsilon=0.1)
-        assert session.config.shared_indexes is batch.context.indexes
+        assert session.config.build_indexes() is batch.context.graph.indexes()
         result = session.suggest()
         standalone = ALGORITHMS["biqgen"](
             GenerationConfig(

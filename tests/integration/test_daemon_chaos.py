@@ -12,6 +12,9 @@ The daemon's correctness contract, pinned end-to-end:
   identical to the fault-free run's.
 * **Degradation** — overload sheds requests as empty truncated partials
   (never errors), and retry exhaustion fails only the poisoned request.
+* **Shared caches** — worker threads racing to fill one cold graph's
+  indexes, literal masks and domains still serve, per request id, what
+  a batch session serves.
 
 Faults are keyed by submission index via the same
 :class:`~repro.runtime.faults.FaultInjector` schedule the parallel pool
@@ -28,6 +31,7 @@ import pytest
 
 from repro.cli import main
 from repro.datasets.lki import LKI_SCHEMA
+from repro.matching.delta import GraphDelta, apply_delta
 from repro.runtime.faults import FaultInjector, FaultKind, FaultSpec
 from repro.service.daemon import ServingDaemon, replay_unix
 from repro.service.requests import outcome_to_dict
@@ -239,6 +243,42 @@ class TestChaos:
             assert outcome.result.stats.truncation_reason == "shed_queue_full"
             assert outcome.result.instances == []
         assert daemon.metrics.value("service.daemon.shed") == len(shed)
+
+
+class TestSharedGraphCaches:
+    @pytest.mark.parametrize("chaos_seed", [None, 7], ids=["clean", "chaos"])
+    def test_four_workers_on_one_cold_graph_match_batch_session(
+        self, small_lki_bundle, chaos_seed
+    ):
+        bundle = small_lki_bundle
+        requests = workload(
+            bundle, k=7, clients=("alice", "bob", "carol", "dave")
+        )
+        expected = by_id(
+            BatchSession(
+                apply_delta(bundle.graph, GraphDelta()), bundle.groups, **OPTIONS
+            ).run(requests)
+        )
+        faults = None
+        if chaos_seed is not None:
+            faults = FaultInjector.random(
+                num_batches=len(requests), rate=0.5, seed=chaos_seed,
+                kinds=(FaultKind.CRASH, FaultKind.ERROR),
+            )
+        # A cold copy, not warmed up front: the first requests of all four
+        # workers build the graph's tables, rows and masks concurrently.
+        graph = apply_delta(bundle.graph, GraphDelta())
+        daemon = ServingDaemon(
+            graph, bundle.groups, workers=4, defaults=dict(OPTIONS),
+            warm=False, faults=faults, max_retries=2,
+        )
+        try:
+            outcomes = daemon.serve(requests)
+        finally:
+            daemon.shutdown()
+        assert by_id(outcomes) == expected
+        assert all(o.ok for o in outcomes)
+        assert len(graph.indexes().literal_masks) > 0
 
 
 class TestWireFrontends:

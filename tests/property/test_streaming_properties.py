@@ -137,7 +137,7 @@ class TestRowRepair:
         graph, first = setup
         session = make_session(graph)
         session.generate(count=6, seed=seed)
-        bitsets = session.context.indexes.bitsets
+        bitsets = session.graph.indexes().bitsets
         for outgoing in (True, False):
             # Cache every row, so every touched node has rows to drop.
             for position in range(graph.count_label("a")):

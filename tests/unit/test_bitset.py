@@ -256,19 +256,17 @@ class TestSupportSweep:
 
     def test_support_tracks_in_place_deltas(self):
         """Sweeps over the spliced edge arrays equal row probes after
-        in-place inserts and deletes (rows dropped by the index repair)."""
+        in-place inserts and deletes (rows dropped by the graph's hooks)."""
         graph = support_graph()
         kernel = graph.ball_kernel()
-        indexes = GraphIndexes(graph)
-        bitsets = indexes.bitsets
+        bitsets = graph.indexes().bitsets
         full_b = bitsets.full_mask("b")
         before = kernel.support("a", "e", True, "b", full_b)
         delta = GraphDelta(
             delete_edges=((2, 4, "e"),),
             insert_edges=((3, 5, "e"), (1, 1, "e")),
         )
-        receipt = apply_delta_in_place(graph, delta)
-        indexes.repair(receipt.touched_nodes, receipt.touched_attributes)
+        apply_delta_in_place(graph, delta)
         assert graph.ball_kernel() is kernel  # spliced, not rebuilt
         for other in ("a", "b"):
             for outgoing in (True, False):

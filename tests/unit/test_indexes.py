@@ -148,8 +148,7 @@ class TestMixedTypes:
         """Bit-level repair after updates that cross type groups equals a
         cold recompute over the updated graph."""
         graph = mixed_graph(values)
-        indexes = GraphIndexes(graph)
-        cache = LiteralPoolCache(indexes, MetricsRegistry())
+        cache = LiteralPoolCache(graph.indexes(), MetricsRegistry())
         literals = [Literal("v", op, constant) for op in OPS for constant in MIXED[:-1]]
         for literal in literals:
             cache.mask("n", literal)
@@ -157,8 +156,7 @@ class TestMixedTypes:
             set_attributes=tuple((node % len(values), "v", value) for node, value in updates)
         )
         receipt = apply_delta_in_place(graph, delta)
-        indexes.repair(receipt.touched_nodes, receipt.touched_attributes)
-        cache.repair_attributes(receipt.touched_nodes, receipt.touched_attributes)
+        cache.repair_attributes(graph, receipt.touched_nodes, receipt.touched_attributes)
         cold = LiteralPoolCache(GraphIndexes(graph), MetricsRegistry())
         for literal in literals:
             assert cache.mask("n", literal) == cold.mask("n", literal), literal

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.graph.indexes import GraphIndexes
 from repro.matching import (
     BitsetEngine,
     SubgraphMatcher,
@@ -21,43 +20,40 @@ def _as_ids(indexes, masks, labels):
     return {n: indexes.bitsets.to_ids(labels[n], m) for n, m in masks.items()}
 
 
-def initial_candidates(indexes, instance, restrict):
+def initial_candidates(graph, instance, restrict):
     """The engine's literal stage alone, as per-node id sets."""
-    engine = BitsetEngine(indexes)
+    engine = BitsetEngine(graph)
     masks, labels = engine._initial_masks(instance, restrict, None, _Work())
-    return _as_ids(indexes, masks, labels)
+    return _as_ids(engine.indexes, masks, labels)
 
 
-def propagate(indexes, instance, candidates):
+def propagate(graph, instance, candidates):
     """The engine's arc-consistency stage over id-set pools."""
-    engine = BitsetEngine(indexes)
+    engine = BitsetEngine(graph)
     masks, labels = engine._initial_masks(instance, candidates, None, _Work())
     masks, removed = engine._propagate(instance, masks, labels, _Work())
-    return _as_ids(indexes, masks, labels), removed
+    return _as_ids(engine.indexes, masks, labels), removed
 
 
 class TestInitialCandidates:
     def test_label_filtering(self, talent_graph, talent_template, talent_ids):
-        indexes = GraphIndexes(talent_graph)
         q = talent_instance(talent_template, xl1=5, xl2=100, xe1=0)
-        candidates = initial_candidates(indexes, q, None)
+        candidates = initial_candidates(talent_graph, q, None)
         directors = {talent_ids[d] for d in ("d1", "d2", "d3", "d4")}
         assert candidates["u0"] == directors
 
     def test_literal_filtering(self, talent_graph, talent_template, talent_ids):
-        indexes = GraphIndexes(talent_graph)
         q = talent_instance(talent_template, xl1=12, xl2=100, xe1=0)
-        candidates = initial_candidates(indexes, q, None)
+        candidates = initial_candidates(talent_graph, q, None)
         # Only r2 has yearsOfExp >= 12 among non-directors... r2 plus the
         # directors with yoe >= 12 (label pool is all persons).
         assert talent_ids["r1"] not in candidates["u1"]
         assert talent_ids["r2"] in candidates["u1"]
 
     def test_restrict_bounds_pool(self, talent_graph, talent_template, talent_ids):
-        indexes = GraphIndexes(talent_graph)
         q = talent_instance(talent_template, xl1=5, xl2=100, xe1=0)
         restricted = initial_candidates(
-            indexes, q, {"u0": {talent_ids["d1"], talent_ids["r1"]}}
+            talent_graph, q, {"u0": {talent_ids["d1"], talent_ids["r1"]}}
         )
         # Restriction is re-filtered through the literals (r1 is no
         # director) and caps the pool.
@@ -66,20 +62,18 @@ class TestInitialCandidates:
 
 class TestPropagate:
     def test_prunes_unsupported(self, talent_graph, talent_template, talent_ids):
-        indexes = GraphIndexes(talent_graph)
         q = talent_instance(talent_template, xl1=5, xl2=1000, xe1=0)
-        candidates = initial_candidates(indexes, q, None)
-        candidates, removed = propagate(indexes, q, candidates)
+        candidates = initial_candidates(talent_graph, q, None)
+        candidates, removed = propagate(talent_graph, q, candidates)
         # Only r2 works at the big org; only d2/d3 are recommended by r2.
         assert candidates["u1"] == {talent_ids["r2"]}
         assert candidates["u0"] == {talent_ids["d2"], talent_ids["d3"]}
         assert removed > 0
 
     def test_empty_propagates_everywhere(self, talent_graph, talent_template):
-        indexes = GraphIndexes(talent_graph)
         q = talent_instance(talent_template, xl1=99, xl2=100, xe1=0)
-        candidates = initial_candidates(indexes, q, None)
-        candidates, _ = propagate(indexes, q, candidates)
+        candidates = initial_candidates(talent_graph, q, None)
+        candidates, _ = propagate(talent_graph, q, candidates)
         assert all(not pool for pool in candidates.values())
 
 

@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
 from repro.errors import ServiceError
-from repro.matching.bitset import WorkloadLiteralPools
-from repro.matching.delta import GraphDelta
+from repro.graph import indexes as indexes_module
+from repro.graph.indexes import LITERAL_MASK_ENTRIES, GraphIndexes
+from repro.matching.bitset import LiteralPoolCache
+from repro.matching.delta import GraphDelta, apply_delta
 from repro.obs.registry import MetricsRegistry
+from repro.query.predicates import Literal, Op
+from repro.streaming.graph_ops import apply_delta_in_place
 from repro.service import (
     BatchScheduler,
     GenerationRequest,
@@ -21,69 +27,122 @@ from repro.service import (
 
 
 class TestWorkloadLiteralPools:
-    def test_lookup_miss_then_hit(self):
-        metrics = MetricsRegistry()
-        pools = WorkloadLiteralPools(metrics=metrics)
-        key = ("person", "age", ">=", 30)
-        assert pools.lookup(key) is None
-        pools.store(key, 0b1011)
-        assert pools.lookup(key) == 0b1011
-        assert metrics.value("service.workload_pool.misses") == 1
-        assert metrics.value("service.workload_pool.hits") == 1
-        assert pools.hit_rate == 0.5
+    """The graph-owned literal-mask memo (``GraphIndexes.literal_masks``)
+    that serves every engine-local literal-cache miss across runs."""
 
-    def test_lru_eviction_order(self):
-        metrics = MetricsRegistry()
-        pools = WorkloadLiteralPools(metrics=metrics, max_entries=2)
-        pools.store("a", 1)
-        pools.store("b", 2)
-        assert pools.lookup("a") == 1  # refresh "a"; "b" becomes LRU
-        pools.store("c", 3)
-        assert len(pools) == 2
-        assert pools.lookup("b") is None  # evicted
-        assert pools.lookup("a") == 1
-        assert pools.lookup("c") == 3
-        assert metrics.value("service.workload_pool.evictions") == 1
+    KEY = ("person", "yearsOfExp", Op.GE, 10)
 
-    def test_store_existing_key_refreshes_not_evicts(self):
-        pools = WorkloadLiteralPools(max_entries=2)
-        pools.store("a", 1)
-        pools.store("b", 2)
-        pools.store("a", 10)  # overwrite, no growth
-        assert len(pools) == 2
-        assert pools.lookup("a") == 10
+    def test_lookup_miss_then_hit(self, talent_graph):
+        memo = GraphIndexes(talent_graph).literal_masks
+        assert memo.lookup(self.KEY) is None
+        memo.store(self.KEY, 0b1011)
+        assert memo.lookup(self.KEY) == 0b1011
+        assert len(memo) == 1
 
-    def test_clear(self):
-        pools = WorkloadLiteralPools()
-        pools.store("a", 1)
-        pools.clear()
-        assert len(pools) == 0
-        assert pools.lookup("a") is None
+    def test_lru_eviction_order(self, talent_graph, monkeypatch):
+        monkeypatch.setattr(indexes_module, "LITERAL_MASK_ENTRIES", 2)
+        memo = GraphIndexes(talent_graph).literal_masks
+        a, b, c = (("person", "yearsOfExp", Op.EQ, i) for i in range(3))
+        memo.store(a, 1)
+        memo.store(b, 2)
+        assert memo.lookup(a) == 1  # refresh "a"; "b" becomes LRU
+        memo.store(c, 3)
+        assert len(memo) == 2
+        assert memo.lookup(b) is None  # evicted
+        assert memo.lookup(a) == 1
+        assert memo.lookup(c) == 3
 
-    def test_rejects_nonpositive_bound(self):
-        with pytest.raises(ValueError):
-            WorkloadLiteralPools(max_entries=0)
+    def test_store_existing_key_refreshes_not_evicts(self, talent_graph, monkeypatch):
+        monkeypatch.setattr(indexes_module, "LITERAL_MASK_ENTRIES", 2)
+        memo = GraphIndexes(talent_graph).literal_masks
+        a, b = (("person", "yearsOfExp", Op.EQ, i) for i in range(2))
+        memo.store(a, 1)
+        memo.store(b, 2)
+        memo.store(a, 10)  # overwrite, no growth
+        assert len(memo) == 2
+        assert memo.lookup(a) == 10
 
-    def test_unbounded(self):
-        pools = WorkloadLiteralPools(max_entries=None)
-        for i in range(100):
-            pools.store(("k", i), i)
-        assert len(pools) == 100
-        assert pools.max_entries is None
+    def test_clear(self, talent_graph):
+        graph = apply_delta(talent_graph, GraphDelta())
+        graph.indexes().literal_masks.store(self.KEY, 1)
+        graph.clear_caches()
+        assert len(graph.indexes().literal_masks) == 0
+        assert graph.indexes().literal_masks.lookup(self.KEY) is None
 
-    def test_hit_rate_zero_before_probes(self):
-        assert WorkloadLiteralPools().hit_rate == 0.0
+    def test_default_bound(self, talent_graph):
+        memo = GraphIndexes(talent_graph).literal_masks
+        for i in range(LITERAL_MASK_ENTRIES + 1):
+            memo.store(("person", "yearsOfExp", Op.EQ, i), i)
+        assert len(memo) == LITERAL_MASK_ENTRIES == 4096
+        assert memo.lookup(("person", "yearsOfExp", Op.EQ, 0)) is None
+
+    def test_hit_rate_zero_before_probes(self, talent_graph):
+        """Engine-local misses served by the memo count as shared hits."""
+        indexes = GraphIndexes(talent_graph)
+        literal = Literal(*self.KEY[1:])
+        first, second = MetricsRegistry(), MetricsRegistry()
+        cold = LiteralPoolCache(indexes, first)
+        warm = LiteralPoolCache(indexes, second)
+        assert second.value("matcher.bitset.literal_pool_shared_hits") == 0
+        assert cold.mask("person", literal) == warm.mask("person", literal)
+        assert first.value("matcher.bitset.literal_pool_shared_hits") == 0
+        assert second.value("matcher.bitset.literal_pool_misses") == 1
+        assert second.value("matcher.bitset.literal_pool_shared_hits") == 1
+
+    def test_attribute_update_repairs_masks(self, talent_graph, talent_ids):
+        graph = apply_delta(talent_graph, GraphDelta())
+        memo = graph.indexes().literal_masks
+        literal = Literal(*self.KEY[1:])
+        LiteralPoolCache(graph.indexes(), MetricsRegistry()).mask("person", literal)
+        before = memo.lookup(self.KEY)
+        apply_delta_in_place(
+            graph, GraphDelta(set_attributes=((talent_ids["d4"], "yearsOfExp", 30),))
+        )
+        after = memo.lookup(self.KEY)
+        position = graph.indexes().bitsets.positions("person")[talent_ids["d4"]]
+        assert after == before | (1 << position) != before
+        cold = LiteralPoolCache(GraphIndexes(graph), MetricsRegistry())
+        assert after == cold.mask("person", literal)
+
+    def test_concurrent_lookups_and_evictions(self, talent_graph, monkeypatch):
+        """Threads racing lookups against evictions never lose the memo's
+        bound or its per-pair key index."""
+        monkeypatch.setattr(indexes_module, "LITERAL_MASK_ENTRIES", 2)
+        memo = GraphIndexes(talent_graph).literal_masks
+        keys = [("person", "yearsOfExp", Op.EQ, i) for i in range(6)]
+        errors = []
+
+        def churn(offset):
+            try:
+                for step in range(20000):
+                    key = keys[(step + offset) % len(keys)]
+                    if memo.lookup(key) is None:
+                        memo.store(key, step)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(memo) == 2
+        assert sum(len(keys) for keys in memo._by_pair.values()) == 2
 
 
 class TestGraphContext:
     def test_bind_wires_shared_tiers(self, talent_config):
         context = GraphContext(talent_config.graph)
         bound = context.bind(talent_config)
-        assert bound.shared_indexes is context.indexes
-        assert bound.shared_literal_pools is context.literal_pools
-        assert bound.build_indexes() is context.indexes
-        # The original config is untouched (bind returns a copy).
-        assert talent_config.shared_indexes is None
+        assert bound.build_indexes() is talent_config.graph.indexes()
+        assert context.metrics.value("service.context.configs_bound") == 1
 
     def test_bind_rejects_foreign_graph(self, talent_config, triangle_graph):
         context = GraphContext(triangle_graph)
@@ -91,14 +150,16 @@ class TestGraphContext:
             context.bind(talent_config)
 
     def test_invalidate_bumps_generation_and_rebuilds(self, talent_graph):
-        context = GraphContext(talent_graph)
-        indexes, pools = context.indexes, context.literal_pools
-        pools.store("k", 1)
+        graph = apply_delta(talent_graph, GraphDelta())
+        context = GraphContext(graph)
+        indexes = graph.indexes()
+        indexes.literal_masks.store(TestWorkloadLiteralPools.KEY, 1)
+        graph.active_domain("yearsOfExp", "person")
         context.invalidate()
         assert context.generation == 1
-        assert context.indexes is not indexes
-        assert context.literal_pools is not pools
-        assert len(context.literal_pools) == 0
+        assert graph.indexes() is not indexes
+        assert len(graph.indexes().literal_masks) == 0
+        assert graph._domains == {}
         assert context.metrics.value("service.context.invalidations") == 1
 
     def test_apply_delta_swaps_graph(self, talent_graph, talent_ids):
@@ -120,12 +181,12 @@ class TestGraphContext:
             talent_template, talent_groups, epsilon=0.2, max_domain_values=4
         )
         assert config.epsilon == 0.2
-        assert config.shared_indexes is context.indexes
+        assert config.build_indexes() is context.graph.indexes()
 
     def test_warm_is_idempotent(self, talent_graph):
         context = GraphContext(talent_graph, warm=True)
         context.warm()
-        assert context.indexes.bitsets.full_mask("person")
+        assert context.graph.indexes().bitsets.full_mask("person")
 
 
 class TestGenerationRequest:
