@@ -2,7 +2,6 @@
 
 Not paper figures — these track the implemented extensions:
 
-* **parallel generation** (ParallelQGen) against sequential EnumQGen;
 * **RPQ generation** (RPQGen) over the citation emulation;
 * **multi-output generation** (MultiOutputQGen);
 * **union-coverage workload selection** (CoverageWorkloadGenerator).
@@ -12,40 +11,10 @@ from repro.bench import save_table
 from repro.bench.harness import make_config
 from repro.core import EnumQGen
 from repro.core.multi_output import MultiOutputQGen
-from repro.core.parallel import ParallelQGen, _fork_available
 from repro.query.predicates import Op
 from repro.query.variables import RangeVariable
 from repro.rpq import RPQGen, RPQTemplate
 from repro.workload.benchmark_suite import CoverageWorkloadGenerator
-
-
-def test_extension_parallel(benchmark, ctx, settings, results_dir):
-    bundle = ctx.bundle("lki")
-    config = make_config(bundle, settings)
-    workers = 2 if _fork_available() else 1
-
-    def run():
-        return ParallelQGen(config, workers=workers, batch_size=16).run()
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    serial = EnumQGen(config).run()
-    rows = [
-        {
-            "algorithm": "EnumQGen (serial)",
-            "time (s)": round(serial.stats.elapsed_seconds, 4),
-            "|returned|": len(serial),
-        },
-        {
-            "algorithm": f"ParallelQGen (workers={workers})",
-            "time (s)": round(result.stats.elapsed_seconds, 4),
-            "|returned|": len(result),
-        },
-    ]
-    save_table(rows, results_dir / "extension_parallel.txt",
-               "Extension: parallel generation (LKI)", extra=settings.paper_mapping)
-    assert sorted(p.objectives for p in result.instances) == sorted(
-        p.objectives for p in serial.instances
-    )
 
 
 def test_extension_rpq(benchmark, ctx, settings, results_dir):

@@ -39,7 +39,6 @@ from repro.core.explain import diff_instances, explain_suggestion
 from repro.core.measures import CoverageMeasure, DiversityMeasure
 from repro.core.multi_output import MultiOutputQGen
 from repro.core.pagerank import PageRankRelevance, pagerank
-from repro.core.parallel import ParallelQGen
 from repro.core.preferences import rank_by_preference, select_by_preference
 from repro.datasets import dataset_bundle, dataset_names
 from repro.graph import AttributedGraph, GraphBuilder
@@ -108,7 +107,6 @@ __all__ = [
     "epsilon_indicator",
     "normalized_epsilon_indicator",
     "r_indicator",
-    "ParallelQGen",
     "Budget",
     "CancellationToken",
     "TruncationReason",

@@ -381,12 +381,7 @@ class WeightedCoverageMeasure(CoverageMeasure):
         return self._upper_bound
 
     def of(self, matches: Iterable[int]) -> float:
-        nodes = set(matches)
-        penalty = sum(
-            self.weights[g.name] * abs(g.overlap(nodes) - g.coverage)
-            for g in self.groups
-        )
-        return max(0.0, self.upper_bound - penalty)
+        return self.of_overlaps(self.groups.overlaps(matches))
 
     def of_overlaps(self, overlaps: Mapping[str, int]) -> float:
         penalty = sum(

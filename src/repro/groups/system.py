@@ -440,11 +440,10 @@ class GroupSystem:
 
     def is_feasible(self, nodes: Iterable[int]) -> bool:
         """Feasibility: every group covered with ≥ ``c_i − relax_i`` nodes."""
-        nodes = set(nodes)
-        return all(g.overlap(nodes) >= g.required for g in self._groups)
+        return self.feasible_overlaps(self.overlaps(nodes))
 
     def feasible_overlaps(self, overlaps: Mapping[str, int]) -> bool:
-        """:meth:`is_feasible` from maintained per-group overlap counters."""
+        """:meth:`is_feasible` from per-group overlap counts."""
         return all(overlaps[g.name] >= g.required for g in self._groups)
 
     def coverage_error(self, nodes: Iterable[int]) -> Any:
@@ -455,19 +454,10 @@ class GroupSystem:
         ``"max"``: the single worst deviation (int); ``"weighted"``:
         ``Σ_i w_i · dev_i`` (float).
         """
-        nodes = set(nodes)
-        if self.aggregate == "l1":
-            return sum(abs(g.overlap(nodes) - g.coverage) for g in self._groups)
-        if self.aggregate == "max":
-            return max(abs(g.overlap(nodes) - g.coverage) for g in self._groups)
-        weights = self._weights or {}
-        return sum(
-            weights[g.name] * abs(g.overlap(nodes) - g.coverage)
-            for g in self._groups
-        )
+        return self.error_of_overlaps(self.overlaps(nodes))
 
     def error_of_overlaps(self, overlaps: Mapping[str, int]) -> Any:
-        """:meth:`coverage_error` from maintained per-group counters."""
+        """:meth:`coverage_error` from per-group overlap counts."""
         if self.aggregate == "l1":
             return sum(abs(overlaps[g.name] - g.coverage) for g in self._groups)
         if self.aggregate == "max":

@@ -90,18 +90,13 @@ _COUNTERS: Tuple[str, ...] = (
     "matcher.empty_pool_short_circuits",
     "matcher.match_calls",
     "matcher.match_outputs_calls",
-    # runtime budget + parallel scheduler
+    # runtime budget
     "runtime.budget.checks",
     "runtime.budget.trips",
     "runtime.budget.trips.cancelled",
     "runtime.budget.trips.deadline",
     "runtime.budget.trips.max_backtracks",
     "runtime.budget.trips.max_instances",
-    "runtime.dead_workers_detected",
-    "runtime.parent_fallbacks",
-    "runtime.worker_failures",
-    "runtime.worker_retries",
-    "runtime.worker_timeouts",
     # delta scoring
     "scoring.cache_evictions",
     "scoring.cache_hits",

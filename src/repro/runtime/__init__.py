@@ -1,4 +1,4 @@
-"""``repro.runtime`` — execution budgets, cancellation and fault tolerance.
+"""``repro.runtime`` — execution budgets, cancellation and fault injection.
 
 The runtime layer makes the paper's *anytime* property operational:
 
@@ -6,13 +6,14 @@ The runtime layer makes the paper's *anytime* property operational:
   instances verified, max matcher backtracks; any subset;
 * :class:`CancellationToken` — cooperative, thread-safe cancellation;
 * :class:`ExecutionGuard` — the per-run enforcement point every layer
-  (matcher engines, evaluator, archive offers, generator loops, the
-  parallel merge loop) probes at its loop heads; exhaustion unwinds to
-  the generator, which returns the current ε-Pareto archive as a valid
-  partial result with ``RunStats.truncated`` set;
+  (matcher engines, evaluator, archive offers, generator loops) probes
+  at its loop heads; exhaustion unwinds to the generator, which returns
+  the current ε-Pareto archive as a valid partial result with
+  ``RunStats.truncated`` set;
 * :class:`FaultInjector` — a seeded, deterministic fault schedule
-  (worker crash / slow batch / evaluator exception at the Nth call)
-  driving ``ParallelQGen``'s fault-tolerance test suites.
+  (worker crash / straggler / evaluator exception at the Nth call)
+  fired by the serving daemon's attempts and the streaming session's
+  re-verification loop.
 
 Counters live under ``runtime.*`` (see ``docs/observability.md``) and
 are only registered when a budget or token is actually configured, so
@@ -33,6 +34,7 @@ from repro.runtime.faults import (
     FaultInjector,
     FaultKind,
     FaultSpec,
+    WorkerCrashed,
 )
 
 __all__ = [
@@ -47,4 +49,5 @@ __all__ = [
     "NULL_GUARD",
     "TickingClock",
     "TruncationReason",
+    "WorkerCrashed",
 ]

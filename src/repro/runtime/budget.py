@@ -7,8 +7,8 @@ is bounded-delay maintenance. This module makes that property
 verified, max matcher backtracks — any subset) and a cooperative
 :class:`CancellationToken` travel on
 :class:`~repro.core.config.GenerationConfig`, and every layer of a run —
-matcher, evaluator, archive offers, generator loops, the parallel merge
-loop — calls :meth:`ExecutionGuard.checkpoint` at its loop heads.
+matcher, evaluator, archive offers, generator loops — calls
+:meth:`ExecutionGuard.checkpoint` at its loop heads.
 
 The truncation contract:
 
@@ -303,5 +303,5 @@ class ExecutionGuard:
 
 
 #: Shared inert guard for components constructed without one (standalone
-#: matchers/evaluators, forked workers). Never trips, never counts.
+#: matchers/evaluators). Never trips, never counts.
 NULL_GUARD = ExecutionGuard()

@@ -1,32 +1,37 @@
-"""Deterministic fault injection for the parallel worker pool.
+"""Deterministic fault injection for the serving daemon and streaming.
 
-``ParallelQGen``'s fault tolerance (per-batch timeouts, bounded
-retry-with-backoff, parent-side fallback) is only trustworthy if it is
-*tested against real failure modes*, so this module gives the test
-suites a seeded, reproducible way to make workers misbehave:
+Fault tolerance is only trustworthy if it is tested against real failure
+modes, so this module gives two callers a seeded, reproducible way to
+make work misbehave:
 
-* **CRASH** — the worker process ``os._exit``\\ s mid-batch (a dead
-  worker; the parent detects it via the batch timeout and reassigns);
-* **SLOW** — the batch sleeps past the configured timeout (a straggler;
-  the parent reassigns and ignores the late duplicate);
-* **ERROR** — the evaluator raises at the Nth call of the batch (a
-  poisoned instance / transient bug; the error propagates through the
-  pool and triggers a retry).
+* :class:`~repro.service.daemon.ServingDaemon` fires at the start of a
+  request attempt (``call=0``) and once its result exists (``call=1``),
+  keyed by the request's submission seq; a failed attempt is retried on
+  another worker with a bounded budget;
+* :class:`~repro.streaming.StreamingSession` fires once per ledger entry
+  of phase-3 re-verification (``call`` = entry index), keyed by the
+  update's index; any fault aborts the incremental path and the session
+  falls back to a cold re-evaluation of the ledger.
 
-Faults are keyed by ``(batch_index, attempt, call)`` — the parent passes
-the attempt number with every (re)submission — so the schedule is a pure
-function of the retry history: no shared state, no clocks, identical
-behaviour on every run. A spec fires on attempts ``0 .. times-1`` and
-passes afterwards, which is exactly the shape retry logic must survive.
+The fault kinds:
 
-The injector is installed in the worker initializer (inherited over
-``fork``) and does nothing in the parent process.
+* **CRASH** — raises :class:`WorkerCrashed` (a dead worker: the daemon
+  tears the worker's context down and rebuilds it);
+* **SLOW** — sleeps for ``delay_seconds`` (a straggler, abandoned when
+  the daemon has an ``attempt_timeout``);
+* **ERROR** — raises :class:`FaultInjectionError` (a poisoned request or
+  transient bug).
+
+Faults are keyed by ``(index, attempt, call)``, so the schedule is a
+pure function of the retry history: no shared state, no clocks,
+identical behaviour on every run. A spec fires on attempts
+``0 .. times-1`` and passes afterwards, which is exactly the shape retry
+logic must survive.
 """
 
 from __future__ import annotations
 
 import enum
-import os
 import random
 import time
 from dataclasses import dataclass
@@ -37,19 +42,32 @@ __all__ = [
     "FaultInjector",
     "FaultKind",
     "FaultSpec",
+    "WorkerCrashed",
 ]
 
 
 class FaultKind(enum.Enum):
     """The failure mode a :class:`FaultSpec` injects."""
 
-    CRASH = "crash"  # os._exit mid-batch: a dead worker process.
-    SLOW = "slow"  # sleep past the batch timeout: a straggler.
-    ERROR = "error"  # raise from the evaluator call: a poisoned batch.
+    CRASH = "crash"  # raise WorkerCrashed: a dead worker.
+    SLOW = "slow"  # sleep for delay_seconds: a straggler.
+    ERROR = "error"  # raise FaultInjectionError: a poisoned attempt.
 
 
 class FaultInjectionError(RuntimeError):
-    """The exception an ERROR fault raises inside a worker."""
+    """Raised by an injected ERROR fault.
+
+    A CRASH fault raises the subclass :class:`WorkerCrashed`.
+    """
+
+
+class WorkerCrashed(FaultInjectionError):
+    """An injected worker death (a CRASH fault).
+
+    The daemon discards and rebuilds the worker's context and retries the
+    in-flight request on another worker; any other catcher of
+    :class:`FaultInjectionError` treats it as an ordinary fault.
+    """
 
 
 @dataclass(frozen=True)
@@ -58,12 +76,14 @@ class FaultSpec:
 
     Attributes:
         kind: What goes wrong.
-        batch_index: Which batch triggers it.
-        call_index: Which evaluation call within the batch fires it
-            (0 = at batch start; "evaluator exception at the Nth call").
+        batch_index: Which index triggers it (the daemon's submission
+            seq, or the streaming session's update index).
+        call_index: Which call within that index fires it (the daemon:
+            0 before the attempt's work, 1 after it; streaming: the
+            ledger entry being re-verified).
         times: How many attempts fire — attempts ``>= times`` pass, so
             ``times=1`` tests a single transient fault and a large value
-            tests retry exhaustion / parent fallback.
+            tests retry exhaustion.
         delay_seconds: Sleep length for SLOW faults.
     """
 
@@ -85,7 +105,7 @@ class FaultSpec:
 
 
 class FaultInjector:
-    """A deterministic fault schedule shared with every worker.
+    """A deterministic fault schedule, shared by every worker that fires it.
 
     Args:
         faults: The fault specs to honor.
@@ -123,41 +143,25 @@ class FaultInjector:
     def __len__(self) -> int:
         return len(self.faults)
 
-    def expected_failures(self, num_batches: int, max_retries: int) -> int:
-        """How many failed attempts this schedule will cause.
+    def maybe_fire(self, index: int, attempt: int, call: int) -> None:
+        """Fire any fault scheduled for this (index, attempt, call).
 
-        Each spec on an existing batch fails attempts ``0..times-1`` but
-        the parent only retries up to ``max_retries`` times, so the
-        observable failure count per spec is ``min(times, max_retries+1)``
-        — tests compare ``runtime.worker_retries`` +
-        ``runtime.parent_fallbacks`` against this.
-        """
-        total = 0
-        for spec in self.faults:
-            if spec.batch_index < num_batches:
-                total += min(spec.times, max_retries + 1)
-        return total
-
-    def maybe_fire(self, batch_index: int, attempt: int, call: int) -> None:
-        """Fire any fault scheduled for this (batch, attempt, call).
-
-        Called from ``_verify_batch`` inside the worker process — once at
-        batch start (``call=0`` before the first evaluation) and once per
-        evaluation call.
+        Raises :class:`WorkerCrashed` for CRASH, sleeps for SLOW and
+        raises :class:`FaultInjectionError` for ERROR.
         """
         for spec in self.faults:
-            if spec.batch_index != batch_index or spec.call_index != call:
+            if spec.batch_index != index or spec.call_index != call:
                 continue
             if attempt >= spec.times:
                 continue
             if spec.kind is FaultKind.CRASH:
-                # A hard worker death: no exception, no cleanup, exactly
-                # what a segfaulting or OOM-killed worker looks like.
-                os._exit(17)
-            elif spec.kind is FaultKind.SLOW:
+                raise WorkerCrashed(
+                    f"injected worker crash: index {index}, attempt {attempt}"
+                )
+            if spec.kind is FaultKind.SLOW:
                 time.sleep(spec.delay_seconds)
             else:
                 raise FaultInjectionError(
-                    f"injected evaluator fault: batch {batch_index}, "
+                    f"injected evaluator fault: index {index}, "
                     f"call {call}, attempt {attempt}"
                 )

@@ -37,14 +37,13 @@ The contract the chaos/property harness enforces
 
 Fault injection reuses the runtime layer's seeded
 :class:`~repro.runtime.faults.FaultInjector` schedules, keyed by
-``(submission seq, attempt, call)``. Inside the in-process worker pool
-the fault kinds are reinterpreted (a real ``os._exit`` would take the
-daemon down, which is the *parallel pool's* failure mode, not a worker
-task's): CRASH kills the worker — its context is torn down and rebuilt
-(``service.daemon.worker_restarts``) and the request is retried
-elsewhere; SLOW sleeps inside the attempt (a straggler, abandoned when
-``attempt_timeout`` is set); ERROR raises from the attempt (a transient
-poisoned request, retried with the same bounded budget).
+``(submission seq, attempt, call)``: CRASH raises
+:class:`~repro.runtime.faults.WorkerCrashed`, which kills the worker —
+its context is torn down and rebuilt (``service.daemon.worker_restarts``)
+and the request is retried elsewhere; SLOW sleeps inside the attempt (a
+straggler, abandoned when ``attempt_timeout`` is set); ERROR raises from
+the attempt (a transient poisoned request, retried with the same bounded
+budget).
 
 Every counter lives under ``service.daemon.*`` / ``service.admission.*``
 and is registered only when a daemon is constructed — the default
@@ -66,7 +65,7 @@ from repro.errors import ReproError, ServiceError
 from repro.graph.attributed_graph import AttributedGraph
 from repro.groups.system import GroupSystem
 from repro.obs.registry import MetricsRegistry
-from repro.runtime.faults import FaultInjectionError, FaultInjector, FaultKind
+from repro.runtime.faults import FaultInjector, WorkerCrashed
 from repro.service.admission import AdmissionController
 from repro.service.context import GraphContext
 from repro.service.requests import (
@@ -83,51 +82,11 @@ from repro.service.scheduler import ALGORITHMS, resolve_request_groups
 __all__ = [
     "DedupLedger",
     "ServingDaemon",
-    "WorkerCrashed",
-    "fire_inline",
     "replay_unix",
 ]
 
 Submission = Union[GenerationRequest, RequestRejection, str]
 Outcome = Union[RequestOutcome, RequestRejection]
-
-
-class WorkerCrashed(RuntimeError):
-    """An injected worker death inside the in-process pool.
-
-    The in-process analogue of the parallel pool's ``os._exit``: the
-    worker's context is discarded and rebuilt, and the in-flight request
-    is retried on another worker.
-    """
-
-
-def fire_inline(
-    injector: FaultInjector, index: int, attempt: int, call: int = 0
-) -> None:
-    """Fire an injected fault inside an in-process worker attempt.
-
-    Mirrors :meth:`FaultInjector.maybe_fire`'s ``(index, attempt, call)``
-    keying and attempt semantics (a spec fires on attempts
-    ``0..times-1``), but maps CRASH to :class:`WorkerCrashed` instead of
-    ``os._exit`` — killing the daemon process would end the test, not
-    the worker.
-    """
-    for spec in injector.faults:
-        if spec.batch_index != index or spec.call_index != call:
-            continue
-        if attempt >= spec.times:
-            continue
-        if spec.kind is FaultKind.CRASH:
-            raise WorkerCrashed(
-                f"injected worker crash: request {index}, attempt {attempt}"
-            )
-        if spec.kind is FaultKind.SLOW:
-            time.sleep(spec.delay_seconds)
-        else:
-            raise FaultInjectionError(
-                f"injected evaluator fault: request {index}, "
-                f"call {call}, attempt {attempt}"
-            )
 
 
 # ---------------------------------------------------------------------- #
@@ -596,7 +555,7 @@ class ServingDaemon:
         """
         request = entry.request
         if self.faults is not None:
-            fire_inline(self.faults, entry.seq, attempt, call=0)
+            self.faults.maybe_fire(entry.seq, attempt, call=0)
         start = time.perf_counter()
         context = self._contexts[worker]
         options = dict(self.defaults)
@@ -627,7 +586,7 @@ class ServingDaemon:
         )
         result = algorithm_cls(config).run()
         if self.faults is not None:
-            fire_inline(self.faults, entry.seq, attempt, call=1)
+            self.faults.maybe_fire(entry.seq, attempt, call=1)
         return RequestOutcome(
             request=request,
             result=result,

@@ -17,8 +17,8 @@ The daemon's correctness contract, pinned end-to-end:
   a batch session serves.
 
 Faults are keyed by submission index via the same
-:class:`~repro.runtime.faults.FaultInjector` schedule the parallel pool
-uses, so a failing seed reproduces exactly.
+:class:`~repro.runtime.faults.FaultInjector` schedule the streaming
+session fires, so a failing seed reproduces exactly.
 """
 
 from __future__ import annotations

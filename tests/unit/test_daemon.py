@@ -3,8 +3,7 @@
 Covers the lenient wire-format parser (malformed JSONL lines become
 structured rejections instead of exceptions), SLO-class budget
 resolution, the deficit-round-robin admission controller under an
-injectable clock, the dedup ledger's routing rules, and the in-process
-fault adapter. The full end-to-end daemon behavior lives in
+injectable clock and the dedup ledger's routing rules. The full end-to-end daemon behavior lives in
 ``tests/integration/test_daemon_chaos.py``.
 """
 
@@ -16,7 +15,6 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.obs.registry import MetricsRegistry
-from repro.runtime.faults import FaultInjectionError, FaultInjector, FaultKind, FaultSpec
 from repro.service.admission import (
     AdmissionController,
     DRR_QUANTUM,
@@ -27,7 +25,7 @@ from repro.service.admission import (
     resolve_budget,
     slo_class,
 )
-from repro.service.daemon import DedupLedger, ServingDaemon, WorkerCrashed, fire_inline
+from repro.service.daemon import DedupLedger, ServingDaemon
 from repro.service.requests import (
     GenerationRequest,
     RequestOutcome,
@@ -367,28 +365,6 @@ def test_ledger_keeps_distinct_signatures_apart(talent_template):
     b = make_request(talent_template, epsilon=0.2).canonical_signature()
     assert ledger.route(a, 0) == DedupLedger.EXECUTE
     assert ledger.route(b, 1) == DedupLedger.EXECUTE
-
-
-# ---------------------------------------------------------------------- #
-# In-process fault adapter
-# ---------------------------------------------------------------------- #
-
-
-def test_fire_inline_maps_crash_and_error():
-    injector = FaultInjector(
-        [
-            FaultSpec(kind=FaultKind.CRASH, batch_index=0),
-            FaultSpec(kind=FaultKind.ERROR, batch_index=1),
-        ]
-    )
-    with pytest.raises(WorkerCrashed):
-        fire_inline(injector, 0, attempt=0)
-    with pytest.raises(FaultInjectionError):
-        fire_inline(injector, 1, attempt=0)
-    # Specs fire on attempts 0..times-1 only (times defaults to 1).
-    fire_inline(injector, 0, attempt=1)
-    # Unscheduled requests pass through untouched.
-    fire_inline(injector, 7, attempt=0)
 
 
 # ---------------------------------------------------------------------- #

@@ -17,6 +17,7 @@ from repro.runtime import (
     NULL_GUARD,
     TickingClock,
     TruncationReason,
+    WorkerCrashed,
 )
 
 
@@ -234,13 +235,22 @@ class TestFaultInjector:
         assert a.faults == b.faults
         assert a.faults != c.faults
 
-    def test_expected_failures_caps_at_retry_budget(self):
+    def test_crash_fault_raises_worker_crashed(self):
         injector = FaultInjector(
             [
-                FaultSpec(FaultKind.ERROR, batch_index=0, times=1),
-                FaultSpec(FaultKind.ERROR, batch_index=1, times=5),
-                FaultSpec(FaultKind.ERROR, batch_index=99, times=1),  # no such batch
+                FaultSpec(FaultKind.CRASH, batch_index=0, times=2),
+                FaultSpec(FaultKind.ERROR, batch_index=1),
             ]
         )
-        # times=1 -> 1 failure; times=5 with max_retries=2 -> 3 attempts fail.
-        assert injector.expected_failures(num_batches=3, max_retries=2) == 4
+        # Specs fire on attempts 0..times-1 only.
+        for attempt in range(2):
+            with pytest.raises(WorkerCrashed):
+                injector.maybe_fire(0, attempt, 0)
+        injector.maybe_fire(0, 2, 0)
+        # ERROR stays a plain FaultInjectionError; CRASH is one too.
+        with pytest.raises(FaultInjectionError) as error:
+            injector.maybe_fire(1, 0, 0)
+        assert not isinstance(error.value, WorkerCrashed)
+        assert issubclass(WorkerCrashed, FaultInjectionError)
+        # Unscheduled indexes pass through untouched.
+        injector.maybe_fire(7, 0, 0)

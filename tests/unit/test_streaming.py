@@ -210,6 +210,17 @@ class TestFaultRecovery:
         # Recovery re-evaluated the ledger on the mutated graph.
         assert report.rescored == 2
 
+    def test_injected_crash_triggers_cold_recovery(self):
+        # A CRASH fault raises WorkerCrashed, a FaultInjectionError: the
+        # host process survives and the update takes the cold path.
+        faults = FaultInjector([FaultSpec(FaultKind.CRASH, batch_index=0)])
+        session = make_session(chain_graph(), faults=faults)
+        session.offer([instance(0), instance(1)])
+        report = session.update(GraphDelta(insert_edges=((3, 0, "e"),)))
+        assert report.recovered == "fault"
+        assert session.metrics.value("streaming.fault_recoveries") == 1
+        assert report.rescored == 2
+
     def test_later_updates_unaffected(self):
         faults = FaultInjector([FaultSpec(FaultKind.ERROR, batch_index=0)])
         session = make_session(chain_graph(), faults=faults)
