@@ -23,11 +23,30 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from repro.core.config import GenerationConfig
 from repro.core.evaluator import EvaluatedInstance
 from repro.graph.active_domain import ActiveDomainIndex
+from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.ball import Ball, d_hop_ball
 from repro.obs.registry import MetricsRegistry
 from repro.query.instance import QueryInstance
 from repro.query.instantiation import Instantiation
 from repro.query.variables import RangeVariable, WILDCARD, _value_key
+
+
+def _snap_ball(graph: AttributedGraph, ball: Ball, label: str, var: RangeVariable, domain) -> set:
+    """:func:`_snap_to_domain` of the ball's ``label`` values of
+    ``var.attribute``.
+
+    The ball's cells of the attribute's Gower column are snapped through
+    the column's code table (:meth:`~repro.graph.gower_columns.CodeTable.snap`)
+    without reading a node. The per-value path remains for the numpy-free
+    ball, for ``EXOTIC`` cells and for the cases the table declines.
+    """
+    codes = ball.codes(graph, label, var.attribute)
+    if codes is not None:
+        table = graph.code_table(label, var.attribute)
+        allowed = table.snap(codes, domain, var.op.refine_direction)
+        if allowed is not None:
+            return allowed
+    return _snap_to_domain(var, domain, ball.attribute_values(graph, label, var.attribute))
 
 
 def _snap_to_domain(var: RangeVariable, domain, ball_values) -> set:
@@ -139,7 +158,6 @@ class InstanceLattice:
             restricted = False
             if ball is not None:
                 label = self.template.node(var.node).label
-                ball_values = ball.attribute_values(graph, label, var.attribute)
                 # Snap each in-ball value to its representative in the
                 # (possibly quantized) domain. The paper restricts to the
                 # in-ball values themselves, which is sound over the full
@@ -148,7 +166,7 @@ class InstanceLattice:
                 # match sets (found by the end-to-end property test), so
                 # we keep every quantized value that is the tightest bound
                 # satisfied by some in-ball value.
-                allowed = _snap_to_domain(var, self.domains.domain(name), ball_values)
+                allowed = _snap_ball(graph, ball, label, var, self.domains.domain(name))
                 self.domains.restrict(name, allowed)
                 restricted = True
             try:

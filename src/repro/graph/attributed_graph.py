@@ -19,6 +19,7 @@ reference matcher used in tests (:mod:`repro.matching.nx_reference`).
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -38,7 +39,9 @@ from repro.errors import GraphError
 from repro.graph.ball import HAVE_NUMPY, BallKernel
 
 try:  # numpy-free installs score δ on the pure-Python paths
-    from repro.graph.gower_columns import GowerColumn, GowerColumns
+    import numpy as np
+
+    from repro.graph.gower_columns import EXOTIC, CodeTable, GowerColumn, GowerColumns
 except ImportError:  # pragma: no cover - exercised by the numpy-free CI matrix
     GowerColumns = None
 
@@ -231,6 +234,16 @@ class AttributedGraph:
             label, attribute, self._by_label.get(label, set()), self._nodes
         )
 
+    def code_table(self, label: str, attribute: str) -> "CodeTable":
+        """The :class:`~repro.graph.gower_columns.CodeTable` of
+        :meth:`gower_column` (numpy only)."""
+        order = self.gower_order(label)
+        return self.gower_column(label, attribute).code_table(
+            lambda positions: [
+                self._nodes[i].attributes.get(attribute) for i in order[positions].tolist()
+            ]
+        )
+
     # ------------------------------------------------------------------ #
     # d-hop ball kernel
     # ------------------------------------------------------------------ #
@@ -319,18 +332,79 @@ class AttributedGraph:
             attributes.pop(name, None)
         else:
             attributes[name] = value
-        self._nodes[node_id] = Node(node_id, node.label, attributes)
         label = node.label
+        self._domains.pop((name, None), None)
+        domain = self._domains.pop((name, label), None)
+        repair = None
+        # A stored None sits in the domain but not in the column: rescan.
+        if domain is not None and (old is not None or name not in node.attributes):
+            repair = self._domain_repair(label, name, node_id, old)
+        self._nodes[node_id] = Node(node_id, label, attributes)
         if self._gower is not None:
             self._gower.patch(label, name, node_id, value, self._by_label[label], self._nodes)
+        if repair is not None and repair(domain, value):
+            self._domains[(name, label)] = domain
         if self._indexes is not None:
             self._indexes.attributes.drop_tables(((label, name),))
             self._indexes.literal_masks.repair(label, name, node_id, value)
-        self._domains.pop((name, label), None)
-        self._domains.pop((name, None), None)
         if (name in node.attributes) != (name in attributes):
             self._label_attributes.pop(label, None)
         return old
+
+    def _domain_repair(self, label: str, name: str, node_id: int, old: Optional[AttrValue]):
+        """Prepare to repair the memoized ``(name, label)`` active domain
+        across one cell rewrite; None without numpy or when the column
+        cannot be built.
+
+        Called before the rewrite: it builds the Gower column if need be
+        and notes the old value's ``==`` class (its code's positions).
+        The returned ``repair(domain, value)``, called after the column is
+        patched, edits ``domain`` in place — each class keeps the value on
+        its lowest-id node, as :meth:`active_domain` scans them — and
+        returns False when it cannot (the domain is then rebuilt on the
+        next read).
+        """
+        if self._gower_columns() is None:
+            return None
+        try:
+            column = self.gower_column(label, name)
+        except (OverflowError, TypeError, ValueError):  # ids int64 cannot hold
+            return None
+        order = self.gower_order(label)
+        position = int(np.searchsorted(order, node_id))
+        old_code = int(column.codes[position])
+        before = np.flatnonzero(column.codes == old_code) if old_code >= 0 else None
+
+        def read(p: int) -> AttrValue:
+            return self._nodes[int(order[p])].attributes[name]
+
+        def repair(domain: List[AttrValue], value: Optional[AttrValue]) -> bool:
+            if column.exotic or old_code == EXOTIC:
+                return False
+            new_code = int(column.codes[position])
+            drop: List[AttrValue] = []
+            add: List[AttrValue] = []
+            stayed = False
+            if before is not None:
+                rest = before[before != position]
+                stayed = new_code == old_code and rest.size > 0
+                if before[0] == position:  # the node held the class's entry
+                    drop.append(old)
+                    if stayed:
+                        add.append(value)
+                    elif rest.size:
+                        add.append(read(rest[0]))
+            if new_code >= 0 and not stayed:
+                after = np.flatnonzero(column.codes == new_code)
+                if after[0] == position:
+                    if after.size > 1:
+                        drop.append(read(after[1]))
+                    add.append(value)
+            return all(_remove_sorted(domain, v) for v in drop) and all(
+                _insert_sorted(domain, v) for v in add
+            )
+
+        return repair
 
     # ------------------------------------------------------------------ #
     # Basic accessors
@@ -500,9 +574,11 @@ class AttributedGraph:
                 ids = self._nodes.keys()
             else:
                 ids = self._by_label.get(label, ())
+            # Ascending ids: each ``==`` class keeps its lowest-id node's
+            # value, the one ``_set_attribute_in_place`` repairs toward.
             values = {
                 self._nodes[i].attributes[attribute]
-                for i in ids
+                for i in sorted(ids)
                 if attribute in self._nodes[i].attributes
             }
             domain = self._domains[key] = sorted(values, key=_sort_key)
@@ -528,6 +604,28 @@ class AttributedGraph:
             f"AttributedGraph(name={self.name!r}, |V|={self.num_nodes}, "
             f"|E|={self.num_edges}, labels={len(self._by_label)})"
         )
+
+
+def _remove_sorted(domain: List[AttrValue], value: AttrValue) -> bool:
+    """Delete ``value`` (that very object) from a ``_sort_key``-sorted list."""
+    key = _sort_key(value)
+    start = bisect.bisect_left(domain, key, key=_sort_key)
+    for i in range(start, bisect.bisect_right(domain, key, key=_sort_key)):
+        if domain[i] is value:
+            del domain[i]
+            return True
+    return False
+
+
+def _insert_sorted(domain: List[AttrValue], value: AttrValue) -> bool:
+    """Insert ``value`` into a ``_sort_key``-sorted list; False when an
+    entry shares its key (their order would depend on the scan)."""
+    key = _sort_key(value)
+    start = bisect.bisect_left(domain, key, key=_sort_key)
+    if start < len(domain) and _sort_key(domain[start]) == key:
+        return False
+    domain.insert(start, value)
+    return True
 
 
 def _sort_key(value: AttrValue) -> Tuple[int, str, Any]:

@@ -45,7 +45,7 @@ from typing import (
 try:  # numpy-free installs walk graph.neighbors instead
     import numpy as np
 
-    from repro.graph.gower_columns import EXOTIC
+    from repro.graph.gower_columns import EXOTIC, MISSING
 except ImportError:  # pragma: no cover - exercised by the numpy-free CI matrix
     np = None
 
@@ -291,31 +291,30 @@ class Ball:
             inside = [] if vector is None else self._ids_at(label, np.flatnonzero(vector))
         return ids if ids.isdisjoint(inside) else ids.difference(inside)
 
+    def codes(self, graph: "AttributedGraph", label: str, attribute: str):
+        """Gower codes of the ball's ``label`` nodes carrying ``attribute``
+        (``graph.gower_column``), or None when they cannot stand for the
+        values: on the numpy-free path and when a cell is ``EXOTIC``."""
+        if self._kernel is None:
+            return None
+        vector = self.vector(label)
+        if vector is None:
+            return np.zeros(0, dtype=np.int32)
+        codes = graph.gower_column(label, attribute).codes[vector]
+        codes = codes[codes != MISSING]
+        return None if (codes == EXOTIC).any() else codes
+
     def attribute_values(
         self, graph: "AttributedGraph", label: str, attribute: str
     ) -> Set[object]:
-        """Distinct values of ``attribute`` over the ball's ``label`` nodes.
-
-        Reads the graph's Gower column: one representative node per ``==``
-        code, visited in ascending id order (so the set, repr included, is
-        the one a scan of the nodes in id order builds). A selection holding
-        an ``EXOTIC`` value reads every selected node instead.
-        """
+        """Distinct values of ``attribute`` over the ball's ``label`` nodes,
+        read node by node in ascending id order (the set, repr included,
+        is the one that scan builds)."""
         if self._kernel is None:
             nodes = sorted(v for v in self.members if graph.label(v) == label)
         else:
             vector = self.vector(label)
-            if vector is None:
-                return set()
-            column = graph.gower_column(label, attribute)
-            chosen = np.flatnonzero(column.present & vector)
-            codes = column.codes[chosen]
-            if codes.size and not (column.exotic and (codes == EXOTIC).any()):
-                by_code = np.argsort(codes, kind="stable")
-                codes = codes[by_code]
-                first = np.concatenate(([True], codes[1:] != codes[:-1]))
-                chosen = np.sort(chosen[by_code[first]])
-            nodes = self._ids_at(label, chosen)
+            nodes = [] if vector is None else self._ids_at(label, np.flatnonzero(vector))
         values: Set[object] = set()
         for node in nodes:
             value = graph.attribute(node, attribute)

@@ -435,7 +435,8 @@ class GroupSystem:
 
     def overlaps(self, nodes: Iterable[int]) -> Dict[str, int]:
         """Per-group overlap counts ``|nodes ∩ P_i|`` for an answer set."""
-        nodes = set(nodes)
+        if not isinstance(nodes, (set, frozenset)):
+            nodes = set(nodes)  # a one-shot iterable would serve one group
         return {g.name: g.overlap(nodes) for g in self._groups}
 
     def is_feasible(self, nodes: Iterable[int]) -> bool:
