@@ -9,11 +9,12 @@ incremental verifications, wall work via backtrack calls).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional
+from collections import OrderedDict
+from typing import FrozenSet, Optional
 
 from repro.core.config import GenerationConfig
 from repro.core.measures import CoverageMeasure, DiversityMeasure
+from repro.graph.attributed_graph import LabelEnumeration
 from repro.matching.incremental import IncrementalVerifier
 from repro.matching.matcher import SubgraphMatcher
 from repro.obs.registry import MetricsRegistry
@@ -22,37 +23,66 @@ from repro.runtime.budget import NULL_GUARD, ExecutionGuard
 from repro.scoring.engine import ScoreEngine
 
 
-@dataclass(frozen=True)
 class EvaluatedInstance:
     """A verified query instance with its bi-objective coordinates.
 
     Attributes:
         instance: The underlying query instance.
-        matches: ``q(G)`` — exact output-node match set.
         delta: Diversity ``δ(q)``.
         coverage: Coverage quality ``f(q)``.
         feasible: Whether every group meets its constraint.
+        mask: ``q(G)`` as a mask over ``enumeration`` — the output
+            label's :class:`~repro.graph.attributed_graph.LabelEnumeration`
+            — or None for an instance built from ids only.
+        enumeration: The enumeration ``mask`` is over (None with it).
     """
 
-    instance: QueryInstance
-    matches: FrozenSet[int]
-    delta: float
-    coverage: float
-    feasible: bool
+    __slots__ = ("instance", "delta", "coverage", "feasible", "mask", "enumeration", "_matches")
+
+    def __init__(
+        self,
+        instance: QueryInstance,
+        matches: Optional[FrozenSet[int]] = None,
+        *,
+        delta: float,
+        coverage: float,
+        feasible: bool,
+        mask: Optional[int] = None,
+        enumeration: Optional[LabelEnumeration] = None,
+    ) -> None:
+        self.instance, self.delta, self.coverage, self.feasible = instance, delta, coverage, feasible
+        self.mask, self.enumeration, self._matches = mask, enumeration, matches
+
+    @property
+    def matches(self) -> FrozenSet[int]:
+        """``q(G)`` — the exact output-node match set (built from the mask
+        on first read)."""
+        if self._matches is None:
+            self._matches = self.enumeration.to_ids(self.mask)
+        return self._matches
 
     @property
     def cardinality(self) -> int:
         """``|q(G)|``."""
-        return len(self.matches)
+        return len(self._matches) if self.mask is None else self.mask.bit_count()
 
     @property
     def objectives(self) -> tuple:
         """The (δ, f) pair."""
         return (self.delta, self.coverage)
 
+    def _key(self) -> tuple:  # the value identity, as a dataclass compares
+        return (self.instance, self.matches, self.delta, self.coverage, self.feasible)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, EvaluatedInstance) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"EvaluatedInstance(|q(G)|={len(self.matches)}, δ={self.delta:.3f}, "
+            f"EvaluatedInstance(|q(G)|={self.cardinality}, δ={self.delta:.3f}, "
             f"f={self.coverage:.1f}, feasible={self.feasible})"
         )
 
@@ -61,7 +91,9 @@ class InstanceEvaluator:
     """Verifies instances and computes their quality coordinates.
 
     Results are memoized by instantiation, so re-evaluating an instance
-    reached through a different lattice path is free.
+    reached through a different lattice path is free. The memo is an LRU
+    under the same bound as the verifier's
+    (``GenerationConfig.verifier_max_entries``; None keeps it unbounded).
 
     Args:
         config: The generation configuration.
@@ -114,7 +146,8 @@ class InstanceEvaluator:
                 max_delta_fraction=config.scoring_delta_max_fraction,
                 max_entries=config.score_cache_max_entries,
             )
-        self._evaluated: Dict[tuple, EvaluatedInstance] = {}
+        self._evaluated: "OrderedDict[tuple, EvaluatedInstance]" = OrderedDict()
+        self._max_entries = config.verifier_max_entries
         # Pre-register so snapshots always carry the pair, even at zero.
         self.metrics.counter("evaluator.eval_calls")
         self.metrics.counter("evaluator.memo_hits")
@@ -137,29 +170,41 @@ class InstanceEvaluator:
         key = instance.instantiation.key
         cached = self._evaluated.get(key)
         if cached is not None:
+            self._evaluated.move_to_end(key)
             self.metrics.inc("evaluator.memo_hits")
             return cached
         result = self.verifier.verify(instance, parent)
-        matches = result.matches
-        if self.scoring is not None:
-            scored = self.scoring.score(matches, self._parent_matches(parent))
-            evaluated = EvaluatedInstance(
-                instance=instance,
-                matches=matches,
-                delta=scored.delta,
-                coverage=scored.coverage,
-                feasible=scored.feasible,
-            )
-        else:
-            evaluated = EvaluatedInstance(
-                instance=instance,
-                matches=matches,
-                delta=self.diversity.of(matches),
-                coverage=self.coverage.of(matches),
-                feasible=self.coverage.is_feasible(matches),
-            )
+        enumeration = self.config.graph.enumeration(result.labels[result.output])
+        parent_matches = self._parent_matches(parent) if self.scoring else None
+        evaluated = self.score(instance, result.mask, enumeration, parent_matches)
         self._evaluated[key] = evaluated
+        if self._max_entries is not None and len(self._evaluated) > self._max_entries:
+            self._evaluated.popitem(last=False)
         return evaluated
+
+    def score(
+        self,
+        instance: QueryInstance,
+        mask: int,
+        enumeration: LabelEnumeration,
+        parent_matches: Optional[FrozenSet[int]] = None,
+    ) -> EvaluatedInstance:
+        """(δ, f, feasible) of the answer ``mask`` over ``enumeration``:
+        one popcount per group, δ at the mask's bit positions. The
+        delta-scoring engine takes the id set, derived from
+        ``parent_matches`` when it can."""
+        if self.scoring is not None:
+            matches = enumeration.to_ids(mask)
+            scored = self.scoring.score(matches, parent_matches)
+            return EvaluatedInstance(
+                instance, matches, delta=scored.delta, coverage=scored.coverage,
+                feasible=scored.feasible, mask=mask, enumeration=enumeration,
+            )
+        coverage, feasible = self.coverage.of_mask(enumeration, mask)
+        return EvaluatedInstance(
+            instance, delta=self.diversity.of(mask), coverage=coverage,
+            feasible=feasible, mask=mask, enumeration=enumeration,
+        )
 
     def _parent_matches(
         self, parent: Optional[QueryInstance]

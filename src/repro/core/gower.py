@@ -35,6 +35,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from repro.core.relevance import ConstantRelevance
+
 #: Pair-attribute terms per row block of the exact path (bounds its
 #: temporaries; answers of up to 64 nodes fit one block).
 _BLOCK_PAIRS = 1 << 16
@@ -51,8 +53,9 @@ class GowerKernel:
 
     Args:
         graph: The data graph (owner of the columns).
-        label: The answer label; every call takes the positions of a
-            sorted answer of this label (``graph.gower_positions``).
+        label: The answer label; every call takes an answer's positions
+            in this label's enumeration (``graph.enumeration(label)``),
+            ascending.
         attributes: The Gower kernel's attribute tuple, in its order.
         ranges: The kernel's :class:`~repro.core.distance.AttributeRanges`.
         relevance: ``r(u_o, v)``, called once per node.
@@ -71,7 +74,7 @@ class GowerKernel:
         self.attributes = tuple(attributes)
         self.ranges = ranges
         self.relevance = relevance
-        self._relevance_order: Optional[np.ndarray] = None
+        self._relevance_order = None  # the enumeration the arrays follow
         self._relevance_values = np.zeros(0)
         self._relevance_filled = np.zeros(0, dtype=bool)
 
@@ -79,16 +82,21 @@ class GowerKernel:
 
     def relevance_sum(self, positions: np.ndarray) -> float:
         """``Σ r(u_o, v)`` over the answer, in sorted node order."""
-        order = self.graph.gower_order(self.label)
-        if order is not self._relevance_order:
-            self._relevance_order = order
-            self._relevance_values = np.zeros(len(order))
-            self._relevance_filled = np.zeros(len(order), dtype=bool)
+        enumeration = self.graph.enumeration(self.label)
+        if enumeration is not self._relevance_order:
+            self._relevance_order = enumeration
+            size = len(enumeration.ids)
+            self._relevance_values = np.zeros(size)
+            self._relevance_filled = np.zeros(size, dtype=bool)
+            if type(self.relevance) is ConstantRelevance:  # one score for all
+                self._relevance_values.fill(float(self.relevance.value))
+                self._relevance_filled.fill(True)
         values = self._relevance_values
         if not self._relevance_filled[positions].all():
             missing = positions[~self._relevance_filled[positions]]
-            for position, node_id in zip(missing.tolist(), order[missing].tolist()):
-                values[position] = float(self.relevance(node_id))
+            ids = enumeration.ids
+            for position in missing.tolist():
+                values[position] = float(self.relevance(ids[position]))
             self._relevance_filled[missing] = True
         return ordered_sum(values[positions])
 

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import bisect
 from collections import OrderedDict
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import GenerationConfig
 from repro.core.evaluator import EvaluatedInstance
 from repro.graph.active_domain import ActiveDomainIndex
 from repro.graph.attributed_graph import AttributedGraph
-from repro.graph.ball import Ball, d_hop_ball
+from repro.graph.ball import Ball, mask_ball
 from repro.obs.registry import MetricsRegistry
 from repro.query.instance import QueryInstance
 from repro.query.instantiation import Instantiation
@@ -101,7 +101,8 @@ class InstanceLattice:
         self.domains = domains or config.build_domains()
         self.metrics = metrics or MetricsRegistry()
         self._diameter = self.template.diameter()
-        self._ball_cache: "OrderedDict[FrozenSet[int], Ball]" = OrderedDict()
+        self._output_label = self.template.node(self.template.output_node).label
+        self._ball_cache: "OrderedDict[int, Ball]" = OrderedDict()
 
     # ------------------------------------------------------------------ #
     # Extremes
@@ -139,18 +140,14 @@ class InstanceLattice:
         """One-step refinements of ``instance`` (the forward front set).
 
         Returns ``(variable, child)`` pairs. When ``evaluated`` carries a
-        non-empty match set and template refinement is enabled, domains are
-        restricted to the d-hop neighborhood of the matches before
+        non-empty answer mask and template refinement is enabled, domains
+        are restricted to the d-hop neighborhood of the matches before
         stepping.
         """
         graph = self.config.graph
         ball: Optional[Ball] = None
-        if (
-            self.config.use_template_refinement
-            and evaluated is not None
-            and evaluated.matches
-        ):
-            ball = self._ball(evaluated.matches)
+        if self.config.use_template_refinement and evaluated is not None and evaluated.mask:
+            ball = self._ball(evaluated.mask)
 
         children: List[Tuple[str, QueryInstance]] = []
         inst = instance.instantiation
@@ -255,17 +252,18 @@ class InstanceLattice:
     #: is evicted (one at a time — no wholesale flush of warm entries).
     _BALL_CACHE_MAX = 256
 
-    def _ball(self, matches: FrozenSet[int]) -> Ball:
-        """LRU-cached d-hop ball ``G_q^d`` of a match set."""
-        ball = self._ball_cache.get(matches)
+    def _ball(self, mask: int) -> Ball:
+        """LRU-cached d-hop ball ``G_q^d`` of an answer mask (over the
+        output label's enumeration)."""
+        ball = self._ball_cache.get(mask)
         if ball is None:
             self.metrics.inc("lattice.ball_cache_misses")
-            ball = d_hop_ball(self.config.graph, matches, self._diameter)
+            ball = mask_ball(self.config.graph, self._output_label, mask, self._diameter)
             while len(self._ball_cache) >= self._BALL_CACHE_MAX:
                 self._ball_cache.popitem(last=False)
                 self.metrics.inc("lattice.ball_cache_evictions")
-            self._ball_cache[matches] = ball
+            self._ball_cache[mask] = ball
         else:
             self.metrics.inc("lattice.ball_cache_hits")
-            self._ball_cache.move_to_end(matches)
+            self._ball_cache.move_to_end(mask)
         return ball

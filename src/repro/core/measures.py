@@ -23,7 +23,7 @@ oracle (and serves mixed-label or exotic-valued answers per call).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.core.distance import (
@@ -38,6 +38,8 @@ from repro.graph.attributed_graph import AttributedGraph
 from repro.groups.system import GroupSystem
 
 try:  # numpy-free installs keep the pure-Python paths below
+    import numpy as np
+
     from repro.core.gower import GowerKernel
 except ImportError:  # pragma: no cover - exercised by the numpy-free CI matrix
     GowerKernel = None
@@ -90,11 +92,16 @@ class DiversityMeasure:
         self._gower = isinstance(self.distance, GowerTupleDistance)
         if mode == "decomposed" and not self._gower:
             raise ConfigurationError("decomposed mode requires the Gower kernel")
+        # The kernel reads the output label's enumeration; without numpy,
+        # for another kernel, or for ids int64 cannot hold, δ takes the
+        # Python paths.
         self._kernel = None
         if (
             GowerKernel is not None
             and type(self.distance) is GowerTupleDistance
             and self.distance.graph is graph
+            and self.distance.label == output_label
+            and _int64_ids(graph, output_label)
         ):
             self._kernel = GowerKernel(
                 graph,
@@ -111,12 +118,21 @@ class DiversityMeasure:
         """``|V_{u_o}|`` — the maximum possible diversity value."""
         return float(self._label_count)
 
-    def of(self, matches: Iterable[int]) -> float:
-        """``δ`` for an answer set (any iterable of node ids)."""
-        nodes = sorted(set(matches))
-        if not nodes:
+    def of(self, matches: Union[int, Iterable[int]]) -> float:
+        """``δ`` for an answer: any iterable of node ids, or a mask over
+        the output label's enumeration (``graph.enumeration``), whose bit
+        positions the kernel reads directly."""
+        nodes: Optional[List[int]] = None
+        positions = None
+        if not isinstance(matches, int):
+            nodes = sorted(set(matches))
+            positions = self._positions(nodes)
+        elif self._kernel is None:
+            nodes = sorted(self.graph.enumeration(self.output_label).to_ids(matches))
+        else:
+            positions = self.graph.enumeration(self.output_label).positions(matches)
+        if not len(nodes if positions is None else positions):
             return 0.0
-        positions = self._positions(nodes)
         relevance_sum = self._relevance_sum(nodes, positions)
         pair_sum = self._pair_sum(nodes, positions)
         normalizer = max(1, self._label_count - 1)
@@ -157,10 +173,12 @@ class DiversityMeasure:
 
     def _positions(self, nodes: Sequence[int]):
         """Label positions of the sorted ``nodes`` for the kernel; None runs
-        the Python paths (no numpy, or a node outside the label)."""
+        the Python paths (no kernel, or a node outside the label)."""
         if self._kernel is None:
             return None
-        return self.graph.gower_positions(self._kernel.label, nodes)
+        position = self.graph.enumeration(self.output_label).position
+        found = [position.get(v) for v in nodes]
+        return None if None in found else np.array(found, dtype=np.int64)
 
     def _relevance_sum(self, nodes: Sequence[int], positions) -> float:
         """``Σ r(u_o, v)`` left to right over the sorted nodes.
@@ -192,14 +210,18 @@ class DiversityMeasure:
     # Pair-sum strategies
     # ------------------------------------------------------------------ #
 
-    def _pair_sum(self, nodes: Sequence[int], positions=None) -> float:
-        if len(nodes) < 2 or self.lam == 0.0:
+    def _pair_sum(self, nodes: Optional[Sequence[int]], positions=None) -> float:
+        """``Σ d(v, v')``; ``nodes`` may be None when ``positions`` is given."""
+        size = len(nodes if positions is None else positions)
+        if size < 2 or self.lam == 0.0:
             return 0.0
-        decomposed = self.uses_decomposed(len(nodes))
+        decomposed = self.uses_decomposed(size)
         if positions is not None:
             value = self._kernel.pair_sum(positions, decomposed)
             if value is not None:
                 return value
+            ids = self.graph.enumeration(self.output_label).ids
+            nodes = [ids[i] for i in positions.tolist()]
         if decomposed:
             return self._pair_sum_decomposed(nodes)
         return self._pair_sum_exact(nodes)
@@ -297,6 +319,14 @@ class DiversityMeasure:
         return total / len(attributes)
 
 
+def _int64_ids(graph: AttributedGraph, label: str) -> bool:
+    try:
+        graph.enumeration(label).array
+    except (OverflowError, TypeError, ValueError):
+        return False
+    return True
+
+
 class CoverageMeasure:
     """Computes ``f(q, P)`` and feasibility for one group system.
 
@@ -340,6 +370,13 @@ class CoverageMeasure:
     def is_feasible(self, matches: Iterable[int]) -> bool:
         """Feasibility: every group covered with ≥ ``c_i − relax_i`` nodes."""
         return self.groups.is_feasible(matches)
+
+    def of_mask(self, enumeration, mask: int) -> Tuple[float, bool]:
+        """``(f, feasible)`` of an answer mask over a label enumeration,
+        from one popcount per group (:meth:`GroupSystem.mask_overlaps
+        <repro.groups.system.GroupSystem.mask_overlaps>`)."""
+        overlaps = self.groups.mask_overlaps(enumeration, mask)
+        return self.of_overlaps(overlaps), self.feasible_overlaps(overlaps)
 
     def feasible_overlaps(self, overlaps: Mapping[str, int]) -> bool:
         """:meth:`is_feasible` from maintained per-group overlap counters."""

@@ -36,14 +36,14 @@ from typing import (
 )
 
 from repro.errors import GraphError
-from repro.graph.ball import HAVE_NUMPY, BallKernel
+from repro.graph.ball import HAVE_NUMPY, BallKernel, bits_from_mask, mask_positions
 
 try:  # numpy-free installs score δ on the pure-Python paths
     import numpy as np
 
-    from repro.graph.gower_columns import EXOTIC, CodeTable, GowerColumn, GowerColumns
+    from repro.graph.gower_columns import EXOTIC, CodeTable, GowerColumn
 except ImportError:  # pragma: no cover - exercised by the numpy-free CI matrix
-    GowerColumns = None
+    GowerColumn = None
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (indexes → here)
     from repro.graph.indexes import GraphIndexes
@@ -72,6 +72,85 @@ class Node:
 
     def __contains__(self, attribute: str) -> bool:
         return attribute in self.attributes
+
+
+class LabelEnumeration:
+    """One label's nodes in bit-position order.
+
+    Bit ``i`` of every mask over the label (answers, candidate pools,
+    literal and group member masks), row ``i`` of every Gower column and
+    position ``i`` of the ball kernel's label slice all stand for
+    ``ids[i]``: every layer reads this one object.
+
+    Attributes:
+        label: The node label.
+        ids: The label's node ids, ascending.
+        position: The inverse map, node id → bit position.
+        full: The mask of every node of the label.
+    """
+
+    __slots__ = ("label", "ids", "position", "full", "_array")
+
+    def __init__(self, label: str, ids: Iterable[int]) -> None:
+        self.label = label
+        self.ids: Tuple[int, ...] = tuple(sorted(ids))
+        self.position: Dict[int, int] = dict(zip(self.ids, range(len(self.ids))))
+        self.full = (1 << len(self.ids)) - 1
+        self._array = None
+
+    @property
+    def array(self):
+        """``ids`` as an int64 array (numpy only; raises ``OverflowError``,
+        ``TypeError`` or ``ValueError`` for ids int64 cannot hold)."""
+        if self._array is None:
+            self._array = np.array(self.ids, dtype=np.int64)
+        return self._array
+
+    def positions(self, mask: int):
+        """The set bit positions of ``mask``, an int64 array (numpy only)."""
+        return np.flatnonzero(bits_from_mask(mask, len(self.ids)))
+
+    def mask_of(self, nodes: Iterable[int]) -> int:
+        """The mask of the ids among ``nodes`` that carry this label."""
+        position = self.position
+        mask = 0
+        for v in nodes:
+            bit = position.get(v)
+            if bit is not None:
+                mask |= 1 << bit
+        return mask
+
+    def to_ids(self, mask: int) -> FrozenSet[int]:
+        """The ids behind ``mask`` (the graph's own id objects)."""
+        ids = self.ids
+        if HAVE_NUMPY and mask.bit_count() >= VECTOR_TO_IDS_BITS:
+            return frozenset([ids[i] for i in mask_positions(mask, len(ids))])
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(ids[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(out)
+
+
+#: Masks with at least this many set bits materialize ids in one numpy
+#: pass; sparser ones walk their bits, since the pass has a fixed cost of
+#: about 16 bit steps on a 4k-node label.
+VECTOR_TO_IDS_BITS = 16
+
+
+class Enumerations(dict):
+    """A graph's :class:`LabelEnumeration` per label, built on first
+    lookup (``enumerations[label]``). In-place updates never change the
+    node set; ``add_node`` replaces the whole store."""
+
+    def __init__(self, by_label: Mapping[str, Iterable[int]]) -> None:
+        super().__init__()
+        self.by_label = by_label
+
+    def __missing__(self, label: str) -> LabelEnumeration:
+        # setdefault: threads racing on one label keep one object.
+        return self.setdefault(label, LabelEnumeration(label, self.by_label.get(label, ())))
 
 
 @dataclass(frozen=True)
@@ -115,7 +194,8 @@ class AttributedGraph:
         self._edge_count = 0
         self._edge_labels: Set[str] = set()
         self._frozen = False
-        self._gower: Optional["GowerColumns"] = None
+        self._enumerations = Enumerations(self._by_label)
+        self._columns: Dict[Tuple[str, str], "GowerColumn"] = {}
         self._ball: Optional[BallKernel] = None
         self._indexes: Optional["GraphIndexes"] = None
         self._domains: Dict[Tuple[str, Optional[str]], List[AttrValue]] = {}
@@ -180,15 +260,18 @@ class AttributedGraph:
     #
     # Everything below is a pure function of the graph, built on first
     # use and shared by every config, matcher, measure and serving context
-    # on this graph: the indexes (attribute tables, adjacency rows,
-    # literal masks), active domains, per-label attribute names, the Gower
-    # columns and the ball kernel. ``add_node`` drops all of it,
-    # ``add_edge`` what depends on edges, and the in-place hooks below
-    # repair it. None of it refers back to the graph object itself.
+    # on this graph: the per-label enumerations, the indexes (attribute
+    # tables, adjacency rows, literal masks), active domains, per-label
+    # attribute names, the Gower columns and the ball kernel.
+    # ``add_node`` drops all of it, ``add_edge`` what depends on edges,
+    # and the in-place hooks below repair it. None of it refers back to
+    # the graph object itself.
 
     def clear_caches(self) -> None:
         """Drop every piece of derived state; each rebuilds on next use."""
-        self._gower = None
+        if self._enumerations:  # an empty store already follows the node set
+            self._enumerations = Enumerations(self._by_label)
+        self._columns = {}
         self._ball = None
         self._indexes = None
         self._domains.clear()
@@ -203,45 +286,33 @@ class AttributedGraph:
             self._indexes = GraphIndexes(self)
         return self._indexes
 
+    def enumeration(self, label: str) -> LabelEnumeration:
+        """The :class:`LabelEnumeration` of ``label`` (built on first use)."""
+        return self._enumerations[label]
+
     # ------------------------------------------------------------------ #
     # Gower columns (the vectorised δ kernel's input)
     # ------------------------------------------------------------------ #
 
-    def _gower_columns(self) -> Optional["GowerColumns"]:
-        """The graph's :class:`~repro.graph.gower_columns.GowerColumns`
-        (created on first use; None without numpy). ``add_node`` drops
-        them, ``_set_attribute_in_place`` patches them."""
-        if self._gower is None and GowerColumns is not None:
-            self._gower = GowerColumns()
-        return self._gower
-
-    def gower_positions(self, label: str, node_ids: List[int]):
-        """Positions of the sorted ``node_ids`` in :meth:`gower_order`, or
-        None without numpy or when some id is unknown or of another label."""
-        columns = self._gower_columns()
-        if columns is None:
-            return None
-        return columns.positions(label, self._by_label.get(label, set()), node_ids)
-
-    def gower_order(self, label: str):
-        """Sorted node ids of ``label`` as an int64 array (numpy only)."""
-        return self._gower_columns().order(label, self._by_label.get(label, set()))
-
     def gower_column(self, label: str, attribute: str) -> "GowerColumn":
-        """The ``(label, attribute)`` column aligned with :meth:`gower_order`
-        (numpy only)."""
-        return self._gower_columns().column(
-            label, attribute, self._by_label.get(label, set()), self._nodes
-        )
+        """The ``(label, attribute)`` Gower column, row ``i`` for the label
+        enumeration's ``ids[i]`` (numpy only). Built on first use,
+        patched by ``_set_attribute_in_place``, dropped by ``add_node``."""
+        column = self._columns.get((label, attribute))
+        if column is None:
+            column = GowerColumn(self._column_values(label, attribute))
+            self._columns[(label, attribute)] = column
+        return column
+
+    def _column_values(self, label: str, attribute: str) -> List[AttrValue]:
+        return [self._nodes[v].attributes.get(attribute) for v in self.enumeration(label).ids]
 
     def code_table(self, label: str, attribute: str) -> "CodeTable":
         """The :class:`~repro.graph.gower_columns.CodeTable` of
         :meth:`gower_column` (numpy only)."""
-        order = self.gower_order(label)
+        ids = self.enumeration(label).ids
         return self.gower_column(label, attribute).code_table(
-            lambda positions: [
-                self._nodes[i].attributes.get(attribute) for i in order[positions].tolist()
-            ]
+            lambda positions: [self._nodes[ids[i]].attributes.get(attribute) for i in positions]
         )
 
     # ------------------------------------------------------------------ #
@@ -255,7 +326,7 @@ class AttributedGraph:
         ``add_node``/``add_edge`` drop it, the in-place edge hooks splice it."""
         if self._ball is None and HAVE_NUMPY:
             try:
-                self._ball = BallKernel(self._by_label, self._out)
+                self._ball = BallKernel(self._enumerations, self._out)
             except (OverflowError, TypeError, ValueError):
                 return None
         return self._ball
@@ -340,8 +411,12 @@ class AttributedGraph:
         if domain is not None and (old is not None or name not in node.attributes):
             repair = self._domain_repair(label, name, node_id, old)
         self._nodes[node_id] = Node(node_id, label, attributes)
-        if self._gower is not None:
-            self._gower.patch(label, name, node_id, value, self._by_label[label], self._nodes)
+        column = self._columns.get((label, name))
+        if column is not None:
+            column.patch(
+                self.enumeration(label).position[node_id], value,
+                lambda: self._column_values(label, name),
+            )
         if repair is not None and repair(domain, value):
             self._domains[(name, label)] = domain
         if self._indexes is not None:
@@ -353,8 +428,7 @@ class AttributedGraph:
 
     def _domain_repair(self, label: str, name: str, node_id: int, old: Optional[AttrValue]):
         """Prepare to repair the memoized ``(name, label)`` active domain
-        across one cell rewrite; None without numpy or when the column
-        cannot be built.
+        across one cell rewrite; None without numpy.
 
         Called before the rewrite: it builds the Gower column if need be
         and notes the old value's ``==`` class (its code's positions).
@@ -364,19 +438,16 @@ class AttributedGraph:
         returns False when it cannot (the domain is then rebuilt on the
         next read).
         """
-        if self._gower_columns() is None:
+        if GowerColumn is None:
             return None
-        try:
-            column = self.gower_column(label, name)
-        except (OverflowError, TypeError, ValueError):  # ids int64 cannot hold
-            return None
-        order = self.gower_order(label)
-        position = int(np.searchsorted(order, node_id))
+        column = self.gower_column(label, name)
+        ids = self.enumeration(label).ids
+        position = self.enumeration(label).position[node_id]
         old_code = int(column.codes[position])
         before = np.flatnonzero(column.codes == old_code) if old_code >= 0 else None
 
         def read(p: int) -> AttrValue:
-            return self._nodes[int(order[p])].attributes[name]
+            return self._nodes[ids[p]].attributes[name]
 
         def repair(domain: List[AttrValue], value: Optional[AttrValue]) -> bool:
             if column.exotic or old_code == EXOTIC:

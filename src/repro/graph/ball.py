@@ -8,10 +8,10 @@ the ball through one walk:
 
 * :class:`BallKernel` — an undirected CSR (in- plus out-neighbours over
   every edge label, int32 targets) whose enumeration is label-grouped:
-  labels sorted, ids ascending within a label. A label's slice of the
-  enumeration is therefore bit-compatible with the
-  :class:`~repro.graph.indexes.BitsetIndex` positions and with
-  ``graph.gower_order(label)``. Per edge label it also keeps the edges'
+  labels sorted, each label's slice its
+  :class:`~repro.graph.attributed_graph.LabelEnumeration`, so a slice
+  position is a bit of that label's masks and a row of its Gower
+  columns. Per edge label it also keeps the edges'
   endpoint positions, which the matcher's AC-3 support sweeps read
   (:meth:`BallKernel.support`). The kernel belongs to one graph
   (``graph.ball_kernel()``: built lazily, dropped by ``add_node`` /
@@ -50,7 +50,7 @@ except ImportError:  # pragma: no cover - exercised by the numpy-free CI matrix
     np = None
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.graph.attributed_graph import AttributedGraph
+    from repro.graph.attributed_graph import AttributedGraph, Enumerations
     from repro.graph.indexes import BitsetIndex
 
 #: True when numpy is importable (graphs then own a :class:`BallKernel`).
@@ -92,29 +92,33 @@ def _id_array(ids) -> "np.ndarray":
 class BallKernel:
     """Label-grouped undirected CSR of one graph (see the module docstring).
 
-    Built from the graph's label index and out-adjacency; raises
-    ``TypeError``/``ValueError``/``OverflowError`` when the node ids are
-    not int64-representable (the graph then keeps walking in Python).
+    Built from the graph's label enumerations
+    (:class:`~repro.graph.attributed_graph.Enumerations`) and
+    out-adjacency; raises ``TypeError``/``ValueError``/``OverflowError``
+    when the node ids are not int64-representable (the graph then keeps
+    walking in Python).
     """
 
     __slots__ = ("spans", "order", "offsets", "targets", "edges", "_sorted_ids", "_sorted_pos")
 
     def __init__(
         self,
-        by_label: Mapping[str, Iterable[int]],
+        enumerations: "Enumerations",
         out: Mapping[int, Mapping[str, Iterable[int]]],
     ) -> None:
-        order: List[int] = []
+        slices = []
+        position: Dict[int, int] = {}
         #: label → (start, stop) of its slice of the enumeration.
         self.spans: Dict[str, Tuple[int, int]] = {}
-        for label in sorted(by_label):
-            start = len(order)
-            order.extend(sorted(by_label[label]))
-            self.spans[label] = (start, len(order))
-        self.order = np.array(order, dtype=np.int64)
+        for label in sorted(enumerations.by_label):
+            enumeration = enumerations[label]
+            start = len(position)
+            slices.append(enumeration.array)
+            position.update(zip(enumeration.ids, range(start, start + len(enumeration.ids))))
+            self.spans[label] = (start, len(position))
+        self.order = np.concatenate([np.empty(0, np.int64)] + slices)
         self._sorted_pos = np.argsort(self.order, kind="stable").astype(np.int32)
         self._sorted_ids = self.order[self._sorted_pos]
-        position = dict(zip(order, range(len(order))))
         sources: Dict[str, List[int]] = {}
         targets: Dict[str, List[int]] = {}
         for node, by_edge_label in out.items():
@@ -127,7 +131,7 @@ class BallKernel:
             label: (np.array(sources[label], np.int32), np.array(targets[label], np.int32))
             for label in sources
         }
-        size = len(order)
+        size = len(self.order)
         empty = [np.empty(0, np.int32)]
         src = np.concatenate(empty + [pair[0] for pair in self.edges.values()])
         dst = np.concatenate(empty + [pair[1] for pair in self.edges.values()])
@@ -260,7 +264,7 @@ class Ball:
 
     def vector(self, label: str):
         """The ball's slice over ``label`` (aligned with
-        ``graph.gower_order(label)``); None for unknown labels."""
+        ``graph.enumeration(label)``); None for unknown labels."""
         span = self._kernel.spans.get(label)
         return None if span is None else self.members[span[0] : span[1]]
 
@@ -280,16 +284,6 @@ class Ball:
                 mask = 0 if vector is None else mask_from_bits(vector)
             self._masks[label] = mask
         return mask
-
-    def outside(self, label: str, ids: FrozenSet[int]) -> FrozenSet[int]:
-        """The ``label`` nodes of ``ids`` outside the ball (the very id
-        objects of ``ids``; ``ids`` itself when none is inside)."""
-        if self._kernel is None:
-            inside = self.members
-        else:
-            vector = self.vector(label)
-            inside = [] if vector is None else self._ids_at(label, np.flatnonzero(vector))
-        return ids if ids.isdisjoint(inside) else ids.difference(inside)
 
     def codes(self, graph: "AttributedGraph", label: str, attribute: str):
         """Gower codes of the ball's ``label`` nodes carrying ``attribute``
@@ -377,13 +371,11 @@ def d_hop_ball(graph: "AttributedGraph", seeds: Iterable[int], d: int) -> Ball:
     return Ball(kernel, kernel.walk(kernel.seeds(seeds), d))
 
 
-def mask_ball(
-    graph: "AttributedGraph", label: str, mask: int, d: int, bitsets: "BitsetIndex"
-) -> Ball:
-    """:func:`d_hop_ball` seeded by a mask over ``label``'s positions."""
+def mask_ball(graph: "AttributedGraph", label: str, mask: int, d: int) -> Ball:
+    """:func:`d_hop_ball` seeded by a mask over ``label``'s enumeration."""
     kernel = graph.ball_kernel()
     if kernel is None:
-        return d_hop_ball(graph, bitsets.to_ids(label, mask), d)
+        return d_hop_ball(graph, graph.enumeration(label).to_ids(mask), d)
     seen = np.zeros(len(kernel), dtype=bool)
     span = kernel.spans.get(label)
     if span is not None:

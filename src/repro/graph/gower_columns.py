@@ -1,10 +1,10 @@
 """Numeric attribute columns for the vectorised δ kernel.
 
-:class:`GowerColumns` is a companion of one :class:`AttributedGraph`
-(``graph.gower_positions`` / ``gower_order`` / ``gower_column``): per
-label the sorted node-id order, and per ``(label, attribute)`` a
-:class:`GowerColumn` aligned with that order. Each cell carries exactly
-what the Gower tuple distance reads:
+An :class:`AttributedGraph` keeps one :class:`GowerColumn` per
+``(label, attribute)`` (``graph.gower_column``), whose row ``i`` is the
+node at bit ``i`` of the label's enumeration
+(``graph.enumeration(label)``). Each cell carries exactly what the Gower
+tuple distance reads:
 
 * ``present`` — the node carries the attribute (value is not None);
 * ``numeric`` — the value is an int/float but not a bool
@@ -16,9 +16,9 @@ what the Gower tuple distance reads:
   ``MISSING`` for absent cells and ``EXOTIC`` for values the kernel cannot
   reproduce (unhashable values, float NaN, numbers ``float()`` rejects).
 
-The structures hold no reference to the graph: the graph passes its node
-table in when a column is built or patched, so a dropped graph copy
-takes its columns with it. Columns build lazily, are patched in place by
+A column holds no reference to the graph: the graph passes its values
+in when a column is built or patched, so a dropped graph copy takes its
+columns with it. Columns build lazily, are patched in place by
 ``AttributedGraph._set_attribute_in_place`` and dropped wholesale by
 ``add_node``. The value → code table is kept only once a column is
 patched (rebuilt then from the graph's values): high-cardinality columns
@@ -36,7 +36,7 @@ out no columns without it).
 from __future__ import annotations
 
 import bisect
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -253,57 +253,3 @@ class CodeTable:
         hit = np.zeros(len(ordered) + 1, dtype=bool)
         hit[picked] = True
         return {ordered[i] for i in np.flatnonzero(hit[: len(ordered)]).tolist()}
-
-
-class GowerColumns:
-    """The per-label orders and per-(label, attribute) columns of a graph."""
-
-    __slots__ = ("_orders", "_columns")
-
-    def __init__(self) -> None:
-        self._orders: Dict[str, np.ndarray] = {}
-        self._columns: Dict[Tuple[str, str], GowerColumn] = {}
-
-    def positions(self, label: str, ids: Set[int], nodes: List[int]) -> Optional[np.ndarray]:
-        """Positions of the sorted ``nodes`` in the label order, or None
-        when some node is not in ``ids`` (unknown, or another label)."""
-        if not ids.issuperset(nodes):
-            return None
-        try:
-            order = self.order(label, ids)
-        except (OverflowError, TypeError, ValueError):  # ids int64 cannot hold
-            return None
-        return np.searchsorted(order, nodes)
-
-    def order(self, label: str, ids: Set[int]) -> np.ndarray:
-        """Sorted node ids of ``label`` (``ids`` is the label's id set)."""
-        order = self._orders.get(label)
-        if order is None:
-            order = self._orders[label] = np.array(sorted(ids), dtype=np.int64)
-        return order
-
-    def column(self, label: str, attribute: str, ids: Set[int], nodes: Mapping[int, Any]) -> GowerColumn:
-        """The (lazily built) column; ``nodes`` maps id → :class:`Node`."""
-        key = (label, attribute)
-        column = self._columns.get(key)
-        if column is None:
-            column = self._columns[key] = GowerColumn(self._raw(label, attribute, ids, nodes))
-        return column
-
-    def _raw(self, label: str, attribute: str, ids: Set[int], nodes: Mapping[int, Any]) -> List[Any]:
-        return [nodes[node_id].attributes.get(attribute) for node_id in self.order(label, ids).tolist()]
-
-    def patch(
-        self,
-        label: str,
-        attribute: str,
-        node_id: int,
-        value: Optional[Any],
-        ids: Set[int],
-        nodes: Mapping[int, Any],
-    ) -> None:
-        """Repair one cell of a built column (no-op for unbuilt ones)."""
-        column = self._columns.get((label, attribute))
-        if column is not None:
-            position = int(np.searchsorted(self._orders[label], node_id))
-            column.patch(position, value, lambda: self._raw(label, attribute, ids, nodes))

@@ -5,8 +5,9 @@ with a given label; a naive scan is O(|V(label)|) per evaluation. The
 :class:`AttributeIndex` keeps, per (label, attribute), node ids sorted by
 attribute value, so a range predicate resolves with two binary searches.
 
-The :class:`BitsetIndex` additionally owns, per node label, a *dense
-enumeration* of the label's nodes (bit position ↔ node id) plus lazily
+The :class:`BitsetIndex` additionally reads, per node label, the graph's
+*dense enumeration* of the label's nodes (bit position ↔ node id,
+:class:`~repro.graph.attributed_graph.LabelEnumeration`) and owns lazily
 materialized adjacency rows — one Python integer per data node in a
 table per ``(label, edge label, direction, neighbor label)`` relation —
 which is the substrate of the bitset matching engine
@@ -26,10 +27,9 @@ from __future__ import annotations
 import bisect
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.graph.attributed_graph import _sort_key
-from repro.graph.ball import HAVE_NUMPY, mask_positions
 from repro.query.predicates import Op
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -148,18 +148,14 @@ class AttributeIndex:
         return out
 
 
-#: Masks with at least this many set bits materialize ids in one numpy
-#: pass; sparser ones walk their bits, since the pass has a fixed cost of
-#: about 16 bit steps on a 4k-node label.
-VECTOR_TO_IDS_BITS = 16
-
-
 class BitsetIndex:
-    """Per-label node enumerations and adjacency-row bitmasks.
+    """Adjacency-row bitmasks over the graph's per-label enumerations.
 
-    Each label gets a stable enumeration — node ids sorted ascending, bit
-    ``i`` of a mask standing for the i-th id — so every candidate pool of
-    a query node with that label is one arbitrary-precision integer.
+    Each label has one stable enumeration — node ids sorted ascending, bit
+    ``i`` of a mask standing for the i-th id, owned by the graph
+    (:meth:`~repro.graph.attributed_graph.AttributedGraph.enumeration`) —
+    so every candidate pool of a query node with that label is one
+    arbitrary-precision integer.
     Adjacency rows answer "which nodes of label ``L`` are successors
     (resp. predecessors) of data node ``v`` under edge label ``l``" as a
     mask over ``L``'s enumeration; rows are built on first touch and
@@ -169,38 +165,24 @@ class BitsetIndex:
 
     def __init__(self, graph: "AttributedGraph") -> None:
         self._nodes = graph._nodes
-        self._by_label = graph._by_label
+        self._enumeration = graph._enumerations
         self._out = graph._out
         self._in = graph._in
-        self._order: Dict[str, Tuple[int, ...]] = {}
-        self._position: Dict[str, Dict[int, int]] = {}
-        self._full: Dict[str, int] = {}
         self._rows: Dict[Tuple[str, str, bool, str], List[Optional[int]]] = {}
 
     # -- Enumeration ----------------------------------------------------- #
 
     def order(self, label: str) -> Tuple[int, ...]:
         """Node ids of ``label`` in bit-position order (ascending ids)."""
-        cached = self._order.get(label)
-        if cached is None:
-            cached = self._order[label] = tuple(sorted(self._by_label.get(label, ())))
-        return cached
+        return self._enumeration[label].ids
 
     def positions(self, label: str) -> Dict[int, int]:
         """Inverse enumeration: node id → bit position."""
-        cached = self._position.get(label)
-        if cached is None:
-            cached = {v: i for i, v in enumerate(self.order(label))}
-            self._position[label] = cached
-        return cached
+        return self._enumeration[label].position
 
     def full_mask(self, label: str) -> int:
         """Mask with one bit set per node of ``label`` (the label pool)."""
-        cached = self._full.get(label)
-        if cached is None:
-            cached = (1 << len(self.order(label))) - 1
-            self._full[label] = cached
-        return cached
+        return self._enumeration[label].full
 
     def mask_of(self, label: str, nodes: Iterable[int]) -> int:
         """Mask over ``label``'s enumeration for an id collection.
@@ -208,26 +190,12 @@ class BitsetIndex:
         Ids not carrying ``label`` are ignored (a restrict set may be an
         arbitrary superset bound).
         """
-        positions = self.positions(label)
-        mask = 0
-        for v in nodes:
-            position = positions.get(v)
-            if position is not None:
-                mask |= 1 << position
-        return mask
+        return self._enumeration[label].mask_of(nodes)
 
-    def to_ids(self, label: str, mask: int) -> Set[int]:
+    def to_ids(self, label: str, mask: int) -> FrozenSet[int]:
         """Materialize a mask back into a node-id set (the graph's own id
         objects)."""
-        order = self.order(label)
-        if HAVE_NUMPY and mask.bit_count() >= VECTOR_TO_IDS_BITS:
-            return {order[i] for i in mask_positions(mask, len(order))}
-        out: Set[int] = set()
-        while mask:
-            low = mask & -mask
-            out.add(order[low.bit_length() - 1])
-            mask ^= low
-        return out
+        return self._enumeration[label].to_ids(mask)
 
     # -- Adjacency rows --------------------------------------------------- #
     #
@@ -393,9 +361,9 @@ class GraphIndexes:
     construction is paid once per graph, not once per run. The graph's
     in-place hooks repair it: an edge update drops the endpoints'
     adjacency rows, an attribute update drops the pair's sorted table and
-    repairs its literal masks. Label enumerations, inverse positions and
-    full masks describe the node set, which in-place updates never change.
-    A bundle built directly with ``GraphIndexes(graph)`` is private to its
+    repairs its literal masks. The label enumerations it reads are the
+    graph's and describe the node set, which in-place updates never
+    change. A bundle built directly with ``GraphIndexes(graph)`` is private to its
     caller and is not repaired.
     """
 
@@ -408,12 +376,10 @@ class GraphIndexes:
     def warm(self, labels: Optional[Iterable[str]] = None) -> None:
         """Pre-build the cheap per-label state (serving cold-start cut).
 
-        Materializes the bitset enumerations, inverse positions and full
-        masks for ``labels`` (default: every node label), so the first
-        request served does not pay them. Adjacency rows and attribute
+        Materializes the label enumerations for ``labels`` (default: every
+        node label), so the first request served does not pay them. Adjacency rows and attribute
         tables stay lazy — their key space is workload-dependent and
         pre-building all of them would dwarf a request.
         """
         for label in labels if labels is not None else list(self._by_label):
-            self.bitsets.positions(label)
-            self.bitsets.full_mask(label)
+            self.bitsets.order(label)

@@ -219,6 +219,8 @@ class GroupSystem:
         # built lazily on first membership query and reused by the
         # delta-scoring engine's O(|Δ|·k) overlap maintenance.
         self._membership: Optional[Dict[int, Tuple[str, ...]]] = None
+        # label -> (enumeration, member mask per group): member_masks().
+        self._masks: Dict[str, Tuple[Any, List[int]]] = {}
         # Declarative provenance, set by system_from_rules(): the rules
         # that materialized each group, the clamp mode, and the source
         # graph. Only rule-built systems can repair membership under
@@ -387,7 +389,7 @@ class GroupSystem:
             return EMPTY_MEMBERSHIP_DIFF
         coverage_changes: List[Tuple[str, int, int]] = []
         declared = {rule.name: rule.coverage for rule in rules}
-        for group in self._groups:
+        for index, group in enumerate(self._groups):
             name = group.name
             removed_nodes = removed_by_group.get(name)
             added_nodes = added_by_group.get(name)
@@ -402,6 +404,9 @@ class GroupSystem:
             # in-place mutation (every holder — measures, score states,
             # configs — must observe the same patched container).
             object.__setattr__(group, "members", members)
+            for enumeration, masks in self._masks.values():
+                masks[index] &= ~enumeration.mask_of(removed_nodes or ())
+                masks[index] |= enumeration.mask_of(added_nodes or ())
             target = declared[name]
             coverage = min(target, len(members)) if self._clamp else target
             if coverage > len(members):
@@ -432,6 +437,25 @@ class GroupSystem:
             for name in self.groups_of(node):
                 counts[name] += 1
         return counts
+
+    def member_masks(self, enumeration: Any) -> List[int]:
+        """Each group's members as a mask over a label's
+        :class:`~repro.graph.attributed_graph.LabelEnumeration` (members
+        of other labels have no bit), in declaration order. Built on first
+        use; :meth:`repair_membership` repairs them."""
+        cached = self._masks.get(enumeration.label)
+        if cached is None or cached[0] is not enumeration:
+            cached = (enumeration, [enumeration.mask_of(g.members) for g in self._groups])
+            self._masks[enumeration.label] = cached
+        return cached[1]
+
+    def mask_overlaps(self, enumeration: Any, mask: int) -> Dict[str, int]:
+        """:meth:`overlaps` of the answer ``mask`` over ``enumeration``:
+        one popcount per group."""
+        return {
+            g.name: (mask & members).bit_count()
+            for g, members in zip(self._groups, self.member_masks(enumeration))
+        }
 
     def overlaps(self, nodes: Iterable[int]) -> Dict[str, int]:
         """Per-group overlap counts ``|nodes ∩ P_i|`` for an answer set."""

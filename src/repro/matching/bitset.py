@@ -107,47 +107,62 @@ class MatchResult:
     """Outcome of verifying one query instance against the graph.
 
     Attributes:
-        matches: ``q(G)`` — the exact match set of the output node.
+        mask: ``q(G)`` as a mask over the output label's enumeration
+            (:meth:`~repro.graph.attributed_graph.AttributedGraph.enumeration`).
         candidate_masks: AC-pruned per-node candidate pools as bitmasks
             over the per-label enumerations (supersets of the exact
             per-node match sets; exact on acyclic instances). These seed
             the incremental verification of refined children.
+        labels: Each query node's label.
+        output: The output query node.
         backtrack_calls: Number of recursive extension calls performed
             (work counter for the efficiency experiments).
         pruned_candidates: Candidates removed by arc consistency.
     """
 
     __slots__ = (
-        "matches",
+        "mask",
         "candidate_masks",
+        "labels",
+        "output",
         "backtrack_calls",
         "pruned_candidates",
-        "_labels",
         "_bitsets",
+        "_matches",
         "_candidates",
     )
 
     def __init__(
         self,
-        matches: FrozenSet[int],
+        mask: int,
         candidate_masks: MaskMap,
         labels: Mapping[str, str],
+        output: str,
         bitsets: BitsetIndex,
         backtrack_calls: int = 0,
         pruned_candidates: int = 0,
     ) -> None:
-        self.matches = matches
+        self.mask = mask
         self.candidate_masks = candidate_masks
+        self.labels = labels
+        self.output = output
         self.backtrack_calls = backtrack_calls
         self.pruned_candidates = pruned_candidates
-        self._labels = labels
         self._bitsets = bitsets
+        self._matches: Optional[FrozenSet[int]] = None
         self._candidates: Optional[CandidateMap] = None
+
+    @property
+    def matches(self) -> FrozenSet[int]:
+        """``q(G)`` as node ids, built on first access."""
+        if self._matches is None:
+            self._matches = self._bitsets.to_ids(self.labels[self.output], self.mask)
+        return self._matches
 
     @property
     def cardinality(self) -> int:
         """``|q(G)|``."""
-        return len(self.matches)
+        return self.mask.bit_count()
 
     @property
     def candidates(self) -> CandidateMap:
@@ -159,7 +174,7 @@ class MatchResult:
         """
         if self._candidates is None:
             to_ids = self._bitsets.to_ids
-            labels = self._labels
+            labels = self.labels
             self._candidates = {
                 node_id: to_ids(labels[node_id], mask)
                 for node_id, mask in self.candidate_masks.items()
@@ -168,7 +183,7 @@ class MatchResult:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"MatchResult(matches={len(self.matches)}, "
+            f"MatchResult(matches={self.cardinality}, "
             f"backtrack_calls={self.backtrack_calls}, "
             f"pruned_candidates={self.pruned_candidates})"
         )
@@ -397,30 +412,29 @@ class BitsetEngine:
             "matcher.initial_pool_size",
             sum(mask.bit_count() for mask in masks.values()),
         )
+        output = instance.output_node
         if any(not mask for mask in masks.values()):
             metrics.inc("matcher.empty_pool_short_circuits")
             self._publish(work)
-            return MatchResult(
-                frozenset(), {k: 0 for k in masks}, labels, self.bitsets
-            )
+            return MatchResult(0, {k: 0 for k in masks}, labels, output, self.bitsets)
         masks, pruned = self._propagate(instance, masks, labels, work)
         metrics.inc("matcher.ac_removed", pruned)
-        output = instance.output_node
         metrics.observe("matcher.output_pool_size", masks[output].bit_count())
         if not masks[output]:
             metrics.inc("matcher.empty_pool_short_circuits")
             self._publish(work)
             return MatchResult(
-                frozenset(), masks, labels, self.bitsets, pruned_candidates=pruned
+                0, masks, labels, output, self.bitsets, pruned_candidates=pruned
             )
 
-        matches = self._solve(instance, masks, labels, output, work, first_only)
+        mask = self._solve(instance, masks, labels, output, work, first_only)
         metrics.inc("matcher.backtrack_calls", work.backtracks)
         self._publish(work)
         return MatchResult(
-            frozenset(matches),
+            mask,
             masks,
             labels,
+            output,
             self.bitsets,
             backtrack_calls=work.backtracks,
             pruned_candidates=pruned,
@@ -448,22 +462,14 @@ class BitsetEngine:
         ):
             self._publish(work)
             return {
-                output: frozenset(self.bitsets.to_ids(labels[output], masks[output]))
+                output: self.bitsets.to_ids(labels[output], masks[output])
                 for output in outputs
             }
         links = self._links(instance, labels)
         results: Dict[str, frozenset] = {}
         for output in outputs:
-            order = self._search_order(instance, masks, output)
-            matched: Set[int] = set()
-            out_order = self.bitsets.order(labels[output])
-            for position in iter_bits(masks[output]):
-                self.guard.checkpoint(extra_backtracks=work.backtracks)
-                if self._extendable(
-                    links, masks, labels, order, {output: position}, 1, work
-                ):
-                    matched.add(out_order[position])
-            results[output] = frozenset(matched)
+            mask = self._sweep(instance, masks, labels, output, links, work, False)
+            results[output] = self.bitsets.to_ids(labels[output], mask)
         metrics.inc("matcher.backtrack_calls", work.backtracks)
         self._publish(work)
         return results
@@ -609,18 +615,25 @@ class BitsetEngine:
         output: str,
         work: _Work,
         first_only: bool,
-    ) -> Set[int]:
-        """Fast paths + backtracking sweep over the output pool."""
+    ) -> int:
+        """Fast paths + backtracking sweep over the output pool; returns
+        the output mask."""
         if len(instance.active_nodes) == 1 or (
             is_acyclic(instance) and not self.injective
         ):
             # Arc consistency is exact for homomorphisms on acyclic queries.
             self.metrics.inc("matcher.acyclic_fast_paths")
-            return self.bitsets.to_ids(labels[output], masks[output])
-        matches: Set[int] = set()
-        out_order = self.bitsets.order(labels[output])
-        order = self._search_order(instance, masks, output)
+            return masks[output]
         links = self._links(instance, labels)
+        return self._sweep(instance, masks, labels, output, links, work, first_only)
+
+    def _sweep(
+        self, instance: QueryInstance, masks: MaskMap, labels: Dict[str, str],
+        output: str, links: Dict, work: _Work, first_only: bool,
+    ) -> int:
+        """Backtracking sweep over the output pool; the output mask."""
+        matches = 0
+        order = self._search_order(instance, masks, output)
         guard = self.guard
         for position in iter_bits(masks[output]):
             # Loop-head budget probe; in-flight backtracks ride along since
@@ -629,7 +642,7 @@ class BitsetEngine:
             if self._extendable(
                 links, masks, labels, order, {output: position}, 1, work
             ):
-                matches.add(out_order[position])
+                matches |= 1 << position
                 if first_only:
                     break
         return matches

@@ -183,9 +183,15 @@ class IncrementalMatchMaintainer:
         self.graph = graph
         self.instance = instance
         self._diameter = instance_diameter(instance)
-        self.matches: FrozenSet[int] = SubgraphMatcher(graph).match(instance).matches
+        self._mask = SubgraphMatcher(graph).match(instance).mask
         #: Re-verified candidates on the last apply (work metric for tests).
         self.last_rechecked = 0
+
+    @property
+    def matches(self) -> FrozenSet[int]:
+        """The maintained ``q(G)`` on the current graph."""
+        label = self.instance.node_label(self.instance.output_node)
+        return self.graph.enumeration(label).to_ids(self._mask)
 
     def apply(self, delta: GraphDelta) -> AttributedGraph:
         """Apply a delta; updates :attr:`matches` with localized work.
@@ -206,8 +212,8 @@ class IncrementalMatchMaintainer:
         ball = d_hop_ball(self.graph, touched, self._diameter) | d_hop_ball(
             new_graph, touched, self._diameter
         )
-        self.matches, self.last_rechecked = reverify_matches(
-            SubgraphMatcher(new_graph), new_graph, self.instance, self.matches, ball
+        self._mask, self.last_rechecked = reverify_matches(
+            SubgraphMatcher(new_graph), new_graph, self.instance, self._mask, ball
         )
         self.graph = new_graph
         return new_graph

@@ -89,8 +89,8 @@ class SubgraphMatcher:
         :class:`~repro.matching.incremental.IncrementalVerifier`);
         ``restrict`` bounds them by plain id sets. ``first_only`` stops
         after the first confirmed output match — the ``exists()`` fast
-        path; the returned ``matches`` is then a (possibly partial)
-        witness set, candidates stay complete.
+        path; the returned answer is then a (possibly partial) witness
+        set, candidates stay complete.
         """
         return self.engine.match(
             instance,
@@ -107,7 +107,7 @@ class SubgraphMatcher:
         candidate-pruning stages (where infeasible instances already die)
         run unchanged.
         """
-        return bool(self.match(instance, first_only=True).matches)
+        return bool(self.match(instance, first_only=True).mask)
 
     def repair_literal_pools(self, pairs, touched_nodes=None) -> int:
         """Repair engine-local literal masks over touched (label, attribute) pairs.

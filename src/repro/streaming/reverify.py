@@ -12,8 +12,8 @@ appeared). The streaming session therefore:
    the ledger (:func:`~repro.graph.ball.ball_depths`);
 2. reads the two-sided ball of *each* distinct diameter off the two
    depth vectors — one walk pair serving every entry;
-3. repairs each maintained answer with
-   ``new = (old − ball) ∪ match(instance, restrict=ball ∧ pool)`` —
+3. repairs each maintained answer mask with
+   ``new = (old & ~ball) | match(instance, restrict=ball & pool)`` —
    :func:`reverify_matches` — re-running the matcher only over the ball.
 
 Attribute updates ride the same machinery: their influence is the updated
@@ -24,7 +24,7 @@ contains by construction (touched seeds are depth 0).
 from __future__ import annotations
 
 from collections import deque
-from typing import FrozenSet, Tuple
+from typing import Tuple
 
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.ball import Ball, mask_ball
@@ -53,21 +53,22 @@ def reverify_matches(
     matcher: SubgraphMatcher,
     graph: AttributedGraph,
     instance: QueryInstance,
-    old_matches: FrozenSet[int],
+    old: int,
     ball: Ball,
-) -> Tuple[FrozenSet[int], int]:
-    """Repair one maintained answer set against the mutated graph.
+) -> Tuple[int, int]:
+    """Repair one maintained answer mask against the mutated graph.
 
+    ``old`` and the result are masks over the output label's enumeration.
     ``matcher`` must be built over ``graph`` *post-mutation* (sharing the
-    repaired indexes). Returns ``(new_matches, rechecked)`` where
+    repaired indexes). Returns ``(new_mask, rechecked)`` where
     ``rechecked`` is the size of the re-verified candidate pool — the work
     metric the ``streaming.instances_rechecked`` counter accumulates.
     """
     output = instance.output_node
     label = instance.node_label(output)
     bitsets = matcher.indexes.bitsets
-    unchanged = ball.outside(label, old_matches)
     pool = ball.mask(label, bitsets)
+    unchanged = old & ~pool
     literal_pools = matcher.engine.literal_pools
     for literal in instance.literals_on(output):
         if not pool:
@@ -79,11 +80,11 @@ def reverify_matches(
     # it (template edges map to graph edges), so the non-output variables
     # can be confined to the ball around the pool — this keeps the
     # matcher's arc-consistency pass local instead of O(graph).
-    witness = mask_ball(graph, label, pool, instance_diameter(instance), bitsets)
+    witness = mask_ball(graph, label, pool, instance_diameter(instance))
     restrict = {
         node_id: witness.mask(instance.node_label(node_id), bitsets)
         for node_id in instance.active_nodes
     }
     restrict[output] = pool
-    rechecked = matcher.match(instance, restrict_masks=restrict).matches
+    rechecked = matcher.match(instance, restrict_masks=restrict).mask
     return unchanged | rechecked, pool.bit_count()

@@ -592,6 +592,10 @@ class StreamingSession:
         rechecked = skipped = changed = rescored = kept = 0
         matcher = self.evaluator.matcher
         graph = self.graph
+        # Answers are masks over the output label's enumeration, so the
+        # change and touched tests below are integer operations.
+        enumeration = graph.enumeration(self.evaluator.diversity.output_label)
+        touched = enumeration.mask_of(score_touched)
         for index, entry in enumerate(self.ledger):
             if self.faults is not None:
                 self.faults.maybe_fire(self._updates - 1, 0, index)
@@ -602,23 +606,22 @@ class StreamingSession:
                     entry.diameter
                 ) | new_depths.ball(entry.diameter)
             old = entry.evaluated
-            matches, pool_size = reverify_matches(
-                matcher, graph, old.instance, old.matches, ball
+            mask, pool_size = reverify_matches(
+                matcher, graph, old.instance, old.mask, ball
             )
             if pool_size:
                 rechecked += 1
                 self.metrics.inc("streaming.recheck_pool_nodes", pool_size)
             else:
                 skipped += 1
-            match_changed = matches != old.matches
+            match_changed = mask != old.mask
             if match_changed:
                 changed += 1
-            if (
-                match_changed
-                or full_rescore
-                or bool(matches & score_touched)
-            ):
-                entry.evaluated = self._rescore(old, matches, match_changed)
+            if match_changed or full_rescore or mask & touched:
+                # The delta-scoring engine derives the new answer's score
+                # from the old one's when the answer drifted.
+                parent = old.matches if match_changed and self.evaluator.scoring else None
+                entry.evaluated = self.evaluator.score(old.instance, mask, enumeration, parent)
                 rescored += 1
             else:
                 kept += 1
@@ -636,40 +639,6 @@ class StreamingSession:
             rescored=rescored,
             scores_kept=kept,
             full_rescore=full_rescore,
-        )
-
-    def _rescore(
-        self,
-        old: EvaluatedInstance,
-        matches: FrozenSet[int],
-        match_changed: bool,
-    ) -> EvaluatedInstance:
-        """Recompute (δ, f, feasible) for a repaired answer set.
-
-        With delta scoring on, the *old* answer set is offered as the
-        parent — a small answer-set drift then rides the O(|Δ|) derive
-        path (bitwise-equal to a from-scratch build, so differential
-        equality is preserved); stale parent states were already dropped
-        by the tiered invalidation, in which case the engine silently
-        falls back to a full build.
-        """
-        scoring = self.evaluator.scoring
-        if scoring is not None:
-            parent = old.matches if match_changed else None
-            scored = scoring.score(matches, parent)
-            delta_value, coverage, feasible = scored
-        else:
-            diversity = self.evaluator.diversity
-            coverage_measure = self.evaluator.coverage
-            delta_value = diversity.of(matches)
-            coverage = coverage_measure.of(matches)
-            feasible = coverage_measure.is_feasible(matches)
-        return EvaluatedInstance(
-            instance=old.instance,
-            matches=matches,
-            delta=delta_value,
-            coverage=coverage,
-            feasible=feasible,
         )
 
     def _replay_archive(self) -> None:

@@ -11,8 +11,9 @@ materializing) without ever tripping
 
 from __future__ import annotations
 
+import bisect
 import random
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set
 
 from repro.graph.attributed_graph import AttributedGraph
 from repro.matching.delta import AttrKey, EdgeKey, GraphDelta
@@ -47,6 +48,7 @@ def random_delta_stream(
     nodes = sorted(graph.node_ids())
     edge_labels = sorted(graph.edge_labels()) or [""]
     live: Set[EdgeKey] = {edge.key for edge in graph.edges()}
+    ordered = sorted(live)  # ``live`` in sort order, repaired per op
     if attributes is None:
         attributes = sorted(graph.attribute_names())
     domains = {
@@ -63,7 +65,7 @@ def random_delta_stream(
                 break
             want_insert = rng.random() < insert_ratio
             insert = _pick_insert(rng, nodes, edge_labels, live, staged)
-            delete = _pick_delete(rng, live, staged)
+            delete = _pick_delete(rng, ordered, inserts)
             chosen = insert if want_insert else delete
             if chosen is None:
                 chosen = delete if want_insert else insert
@@ -73,9 +75,11 @@ def random_delta_stream(
             if chosen in live:
                 deletes.append(chosen)
                 live.discard(chosen)
+                del ordered[bisect.bisect_left(ordered, chosen)]
             else:
                 inserts.append(chosen)
                 live.add(chosen)
+                bisect.insort(ordered, chosen)
         attr_updates: List[AttrKey] = []
         if attr_ops and nodes and attributes:
             for _ in range(attr_ops):
@@ -114,10 +118,18 @@ def _pick_insert(
 
 
 def _pick_delete(
-    rng: random.Random, live: Set[EdgeKey], staged: Set[EdgeKey]
+    rng: random.Random, ordered: List[EdgeKey], inserts: List[EdgeKey]
 ) -> Optional[EdgeKey]:
-    """A uniformly sampled live edge not already staged this delta."""
-    candidates = sorted(live - staged)
-    if not candidates:
+    """A uniformly sampled live edge not already staged this delta: the
+    pick (and random draw) of ``rng.choice(sorted(live - staged))``, read
+    off the sorted live edges, of which this delta's ``inserts`` are the
+    staged ones."""
+    count = len(ordered) - len(inserts)
+    if count <= 0:
         return None
-    return rng.choice(candidates)
+    index = rng.choice(range(count))
+    for skipped in sorted(bisect.bisect_left(ordered, key) for key in inserts):
+        if skipped > index:
+            break
+        index += 1
+    return ordered[index]

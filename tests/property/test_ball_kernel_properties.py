@@ -22,6 +22,7 @@ from collections import deque
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.graph.attributed_graph import AttributedGraph
+from repro.graph.attributed_graph import Enumerations
 from repro.graph.ball import HAVE_NUMPY, BallKernel, ball_depths, d_hop_ball
 from repro.graph.indexes import BitsetIndex
 from repro.matching.delta import GraphDelta
@@ -116,7 +117,7 @@ def assert_kernel_equals_fresh(graph):
     if not HAVE_NUMPY:
         return
     kernel = graph.ball_kernel()
-    fresh = BallKernel(graph._by_label, graph._out)
+    fresh = BallKernel(Enumerations(graph._by_label), graph._out)
     assert kernel.order.tolist() == fresh.order.tolist()
     assert kernel.offsets.tolist() == fresh.offsets.tolist()
     assert kernel.targets.tolist() == fresh.targets.tolist()
@@ -225,7 +226,7 @@ class TestReverify:
         instance = QueryInstance(
             Instantiation(path_template(), {"xl": bounds[0], "xr": bounds[1]})
         )
-        old = SubgraphMatcher(graph).match(instance).matches
+        old = SubgraphMatcher(graph).match(instance).mask
         nodes = sorted(graph.node_ids())
         present = sorted(edge.key for edge in graph.edges())
         edge_keys = st.tuples(
@@ -254,4 +255,4 @@ class TestReverify:
         ball = before.ball(diameter) | ball_depths(graph, touched, diameter).ball(diameter)
         matcher = SubgraphMatcher(graph)
         repaired, _ = reverify_matches(matcher, graph, instance, old, ball)
-        assert repaired == SubgraphMatcher(graph).match(instance).matches
+        assert repaired == SubgraphMatcher(graph).match(instance).mask

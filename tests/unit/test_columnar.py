@@ -18,6 +18,7 @@ in-place repairs vs a fresh build.
 
 import pytest
 
+from repro.graph.attributed_graph import Enumerations
 from repro.graph.ball import HAVE_NUMPY, BallKernel, bits_from_mask, mask_from_bits
 from repro.graph.builder import GraphBuilder
 from repro.graph.indexes import BitsetIndex, GraphIndexes
@@ -78,7 +79,7 @@ class TestStoreLayout:
         for label in graph.node_labels():
             start, stop = kernel.spans[label]
             assert tuple(order[start:stop]) == bitset.order(label)
-            assert tuple(graph.gower_order(label).tolist()) == bitset.order(label)
+            assert tuple(graph.enumeration(label).array.tolist()) == bitset.order(label)
         assert sorted(order) == sorted(graph._nodes)
 
     def test_cross_index_arrays_roundtrip(self):
@@ -230,14 +231,14 @@ class TestInPlaceRepair:
         }
         apply_delta_in_place(graph, self.delta())
         assert graph.ball_kernel() is kernel
-        fresh = BallKernel(graph._by_label, graph._out)
+        fresh = BallKernel(Enumerations(graph._by_label), graph._out)
         assert kernel.offsets.tolist() == fresh.offsets.tolist()
         assert kernel.targets.tolist() == fresh.targets.tolist()
         for edge_label in graph.edge_labels():
             assert endpoint_pairs(kernel, edge_label) == endpoint_pairs(fresh, edge_label)
         for (label, attribute), patched in columns.items():
             assert graph.gower_column(label, attribute) is patched
-            raw = [graph.attribute(v, attribute) for v in graph.gower_order(label).tolist()]
+            raw = [graph.attribute(v, attribute) for v in graph.enumeration(label).array.tolist()]
             rebuilt = GowerColumn(raw)
             assert patched.present.tolist() == rebuilt.present.tolist()
             assert patched.numeric.tolist() == rebuilt.numeric.tolist()

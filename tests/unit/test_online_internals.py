@@ -76,3 +76,28 @@ class TestSnapshotDataclass:
         assert snap.timestamp == 5
         assert snap.epsilon == 0.2
         assert snap.delay_seconds == 0.001
+
+
+class TestEvaluatorMemoBound:
+    def test_bounded_run_keeps_memo_small_and_archive_equal(self, small_lki_config):
+        from dataclasses import replace
+
+        from repro.workload.stream import random_instance_stream
+
+        def run(config):
+            online = OnlineQGen(config, k=3, window=5)
+            stream = list(random_instance_stream(
+                config.template, online.lattice.domains, 30, seed=5
+            ))
+            # The second pass re-evaluates instances the bound evicted.
+            result = online.run(stream + stream)
+            return online, [
+                (p.instance.instantiation.key, p.matches, p.delta, p.coverage)
+                for p in result.instances
+            ]
+
+        bounded, bounded_front = run(replace(small_lki_config, verifier_max_entries=4))
+        unbounded, unbounded_front = run(small_lki_config)
+        assert len(bounded.evaluator._evaluated) <= 4
+        assert len(unbounded.evaluator._evaluated) > 4
+        assert bounded_front == unbounded_front

@@ -393,14 +393,15 @@ class TestBallCacheLRU:
         lattice = InstanceLattice(talent_config)
         lattice._BALL_CACHE_MAX = 3
         for i in range(5):
-            lattice._ball(frozenset({4, 5 + i % 3, 6, 7, i}))
+            # Answer masks over the person enumeration.
+            lattice._ball(1 << 4 | 1 << (1 + i % 3) | 1 << i)
         assert len(lattice._ball_cache) <= 3
         assert lattice.metrics.value("lattice.ball_cache_evictions") >= 1
 
     def test_hit_refreshes_recency(self, talent_config):
         lattice = InstanceLattice(talent_config)
         lattice._BALL_CACHE_MAX = 2
-        a, b, c = frozenset({4}), frozenset({5}), frozenset({6})
+        a, b, c = 1 << 0, 1 << 1, 1 << 2
         lattice._ball(a)
         lattice._ball(b)
         lattice._ball(a)  # refresh a; b becomes the LRU entry

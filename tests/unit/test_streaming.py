@@ -229,3 +229,69 @@ class TestFaultRecovery:
         second = session.update(GraphDelta(delete_edges=((3, 0, "e"),)))
         assert first.recovered == "fault"
         assert second.recovered is None
+
+
+def _sorting_delta_stream(graph, count, seed, edge_ops, attr_ops, insert_ratio, attributes):
+    """The delta stream as drawn by re-sorting the live edge set per pick
+    (the reference the bisect-maintained generator must reproduce)."""
+    import random
+
+    rng = random.Random(seed)
+    nodes = sorted(graph.node_ids())
+    edge_labels = sorted(graph.edge_labels()) or [""]
+    live = {edge.key for edge in graph.edges()}
+    domains = {name: [v for v in graph.active_domain(name) if v is not None] for name in attributes}
+    for _ in range(count):
+        inserts, deletes, staged = [], [], set()
+        for _ in range(edge_ops):
+            want_insert = rng.random() < insert_ratio
+            insert = None
+            for _ in range(32):
+                key = (rng.choice(nodes), rng.choice(nodes), rng.choice(edge_labels))
+                if key not in live and key not in staged and key[0] != key[1]:
+                    insert = key
+                    break
+            candidates = sorted(live - staged)
+            delete = rng.choice(candidates) if candidates else None
+            chosen = insert if want_insert else delete
+            if chosen is None:
+                chosen = delete if want_insert else insert
+            if chosen is None:
+                continue
+            staged.add(chosen)
+            if chosen in live:
+                deletes.append(chosen)
+                live.discard(chosen)
+            else:
+                inserts.append(chosen)
+                live.add(chosen)
+        updates = []
+        for _ in range(attr_ops):
+            name = rng.choice(list(attributes))
+            updates.append((rng.choice(nodes), name, rng.choice(domains[name])))
+        yield GraphDelta(
+            insert_edges=tuple(inserts), delete_edges=tuple(deletes), set_attributes=tuple(updates)
+        )
+
+
+class TestDeltaStream:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 23])
+    @pytest.mark.parametrize(
+        "edge_ops,insert_ratio", [(1, 0.5), (3, 0.5), (4, 0.1), (5, 0.9), (6, 0.0)]
+    )
+    def test_matches_the_sorting_reference(self, seed, edge_ops, insert_ratio):
+        from repro.workload import random_delta_stream
+
+        b = GraphBuilder()
+        for i in range(9):
+            b.node("a", x=i % 3)
+        for i in range(8):
+            b.edge(i, i + 1, "e" if i % 2 else "f")
+        graph = b.build()
+        # Low insert ratios drain the 8 edges, so the empty-live path and
+        # its insert fallback are drawn too.
+        kwargs = dict(count=40, seed=seed, edge_ops=edge_ops, attr_ops=1,
+                      insert_ratio=insert_ratio, attributes=["x"])
+        assert list(random_delta_stream(graph, **kwargs)) == list(
+            _sorting_delta_stream(graph, **kwargs)
+        )
