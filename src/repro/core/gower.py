@@ -15,13 +15,13 @@ per-node attribute dicts:
 * the **relevance** sum over a lazily filled per-measure array.
 
 Results are bitwise identical to the pure-Python paths of
-:mod:`repro.core.measures` and :mod:`repro.core.distance`, which stay as
-the numpy-free fallback and the test oracle. Elementwise float operations
-are the same IEEE operations in the same order, and every float reduction
-is a left-to-right running sum from ``0.0``, reproduced here by
-:func:`ordered_sum` (``np.cumsum`` over ``[0.0, …]``; ``np.sum`` sums
-pairwise and would round differently). Integer reductions are exact in
-any order.
+:mod:`repro.core.measures` and :mod:`repro.core.distance`, which serve
+caller-supplied distances and ``EXOTIC`` cells and are the test oracle.
+Elementwise float operations are the same IEEE operations in the same
+order, and every float reduction is a left-to-right running sum from
+``0.0``, reproduced here by :func:`ordered_sum` (``np.cumsum`` over
+``[0.0, …]``; ``np.sum`` sums pairwise and would round differently).
+Integer reductions are exact in any order.
 
 The code works one attribute at a time and in place where it can: numpy
 keeps freed buffers under 1 KiB in a per-size cache, so every small

@@ -37,8 +37,9 @@ def _snap_ball(graph: AttributedGraph, ball: Ball, label: str, var: RangeVariabl
 
     The ball's cells of the attribute's Gower column are snapped through
     the column's code table (:meth:`~repro.graph.gower_columns.CodeTable.snap`)
-    without reading a node. The per-value path remains for the numpy-free
-    ball, for ``EXOTIC`` cells and for the cases the table declines.
+    without reading a node. The per-value path remains for ``EXOTIC``
+    cells and for the cases the table declines (codes whose ``==`` values
+    differ in sort key).
     """
     codes = ball.codes(graph, label, var.attribute)
     if codes is not None:
@@ -177,7 +178,7 @@ class InstanceLattice:
             current = inst[name]
             if current != WILDCARD and int(current) == 1:
                 continue
-            if ball is not None and not ball.has_labeled_edge(graph, var.label):
+            if ball is not None and not ball.has_labeled_edge(var.label):
                 # Template refinement "fixes" the variable to 0: no edge with
                 # this label exists near any match, so raising it can only
                 # produce empty answers.

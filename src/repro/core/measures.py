@@ -15,15 +15,19 @@ sum over all pairs attribute-by-attribute in O(n log n) using sorted prefix
 sums (numeric) and value counts (categorical). ``mode="auto"`` picks the
 decomposed path for large answers when the kernel allows it.
 
-With numpy, both paths and the relevance sum run vectorised in
+For the Gower distance over the output label's enumeration, both paths
+and the relevance sum run vectorised in
 :class:`~repro.core.gower.GowerKernel`, bitwise identical to the
-pure-Python code here, which stays as the numpy-free fallback and the test
-oracle (and serves mixed-label or exotic-valued answers per call).
+pure-Python code here. That code is the only path for a caller-supplied
+``distance`` and for answers holding an ``EXOTIC`` cell or a node outside
+the label, and it is the test oracle.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.core.distance import (
@@ -33,16 +37,10 @@ from repro.core.distance import (
     pair_sum_categorical_counts,
     pair_sum_numeric,
 )
+from repro.core.gower import GowerKernel
 from repro.core.relevance import ConstantRelevance, RelevanceScorer
 from repro.graph.attributed_graph import AttributedGraph
 from repro.groups.system import GroupSystem
-
-try:  # numpy-free installs keep the pure-Python paths below
-    import numpy as np
-
-    from repro.core.gower import GowerKernel
-except ImportError:  # pragma: no cover - exercised by the numpy-free CI matrix
-    GowerKernel = None
 
 #: Answers at or below this size always use the exact pairwise path.
 _DECOMPOSE_THRESHOLD = 64
@@ -92,16 +90,13 @@ class DiversityMeasure:
         self._gower = isinstance(self.distance, GowerTupleDistance)
         if mode == "decomposed" and not self._gower:
             raise ConfigurationError("decomposed mode requires the Gower kernel")
-        # The kernel reads the output label's enumeration; without numpy,
-        # for another kernel, or for ids int64 cannot hold, δ takes the
-        # Python paths.
+        # The kernel reads the output label's enumeration; for another
+        # distance, δ takes the Python paths.
         self._kernel = None
         if (
-            GowerKernel is not None
-            and type(self.distance) is GowerTupleDistance
+            type(self.distance) is GowerTupleDistance
             and self.distance.graph is graph
             and self.distance.label == output_label
-            and _int64_ids(graph, output_label)
         ):
             self._kernel = GowerKernel(
                 graph,
@@ -317,14 +312,6 @@ class DiversityMeasure:
                     contribution += pair_sum_categorical_counts(present, st.counts)
             total += contribution
         return total / len(attributes)
-
-
-def _int64_ids(graph: AttributedGraph, label: str) -> bool:
-    try:
-        graph.enumeration(label).array
-    except (OverflowError, TypeError, ValueError):
-        return False
-    return True
 
 
 class CoverageMeasure:

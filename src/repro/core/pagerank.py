@@ -2,7 +2,7 @@
 
 The diversity measure's relevance term ``r(u_o, v)`` models the "impact of
 v in social networks" [16]; degree centrality (the default stand-in) is
-crude on graphs with hubs-of-hubs. This module adds a dependency-light
+crude on graphs with hubs-of-hubs. This module adds a numpy
 power-iteration PageRank over the whole graph and a
 :class:`PageRankRelevance` scorer normalizing scores within one label.
 """
@@ -11,10 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-try:  # pragma: no cover - exercised implicitly by both CI variants
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
+import numpy as np
 
 from repro.core.relevance import RelevanceScorer
 from repro.graph.attributed_graph import AttributedGraph
@@ -29,8 +26,7 @@ def pagerank(
     """Standard PageRank by power iteration (dangling mass redistributed).
 
     Returns a node-id → score mapping summing to 1. Runs in
-    O(iterations · |E|) — numpy vector updates when available, a plain
-    edge-list loop otherwise (same iteration, scalar arithmetic).
+    O(iterations · |E|) numpy vector updates.
     """
     ids = sorted(graph.node_ids())
     n = len(ids)
@@ -49,36 +45,22 @@ def pagerank(
             out_degree[position[edge.source]] += 1
     teleport = (1.0 - damping) / n
 
-    if np is not None:
-        degrees = np.array(out_degree, dtype=np.float64)
-        src = np.array(sources, dtype=np.int64)
-        dst = np.array(targets, dtype=np.int64)
-        rank = np.full(n, 1.0 / n)
-        for _ in range(max_iterations):
-            contribution = np.zeros(n)
-            if len(src):
-                weights = rank[src] / degrees[src]
-                np.add.at(contribution, dst, weights)
-            dangling = rank[degrees == 0].sum() / n
-            updated = teleport + damping * (contribution + dangling)
-            if np.abs(updated - rank).sum() < tolerance:
-                rank = updated
-                break
-            rank = updated
-        return {node_id: float(rank[position[node_id]]) for node_id in ids}
-
-    rank = [1.0 / n] * n
+    degrees = np.array(out_degree, dtype=np.float64)
+    src = np.array(sources, dtype=np.int64)
+    dst = np.array(targets, dtype=np.int64)
+    rank = np.full(n, 1.0 / n)
     for _ in range(max_iterations):
-        contribution = [0.0] * n
-        for s, t in zip(sources, targets):
-            contribution[t] += rank[s] / out_degree[s]
-        dangling = sum(rank[i] for i in range(n) if out_degree[i] == 0) / n
-        updated = [teleport + damping * (c + dangling) for c in contribution]
-        delta = sum(abs(u - r) for u, r in zip(updated, rank))
-        rank = updated
-        if delta < tolerance:
+        contribution = np.zeros(n)
+        if len(src):
+            weights = rank[src] / degrees[src]
+            np.add.at(contribution, dst, weights)
+        dangling = rank[degrees == 0].sum() / n
+        updated = teleport + damping * (contribution + dangling)
+        if np.abs(updated - rank).sum() < tolerance:
+            rank = updated
             break
-    return {node_id: rank[position[node_id]] for node_id in ids}
+        rank = updated
+    return {node_id: float(rank[position[node_id]]) for node_id in ids}
 
 
 class PageRankRelevance(RelevanceScorer):

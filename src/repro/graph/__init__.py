@@ -6,16 +6,14 @@ label and every node carries a tuple of attribute/value pairs. On top of the
 store it provides the secondary structures the generation algorithms rely
 on: per-(label, attribute) sorted value indexes (active domains), the
 d-hop ball kernel (:mod:`repro.graph.ball`, for template refinement and
-streaming repair), builders,
-(de)serialization and summary statistics (Table II). With numpy, the graph
-also owns the numeric per-(label, attribute) columns of the δ kernel
-(:mod:`repro.graph.gower_columns`).
+streaming repair), the numeric per-(label, attribute) columns of the δ
+kernel (:mod:`repro.graph.gower_columns`), builders, (de)serialization and
+summary statistics (Table II).
 """
 
 from repro.graph.attributed_graph import AttributedGraph, Edge, Node
 from repro.graph.builder import GraphBuilder
 from repro.graph.active_domain import ActiveDomainIndex
-from repro.graph.ball import HAVE_NUMPY
 from repro.graph.indexes import AttributeIndex
 from repro.graph.sampling import d_hop_neighborhood, induced_subgraph
 from repro.graph.statistics import GraphStatistics, compute_statistics
@@ -33,7 +31,6 @@ __all__ = [
     "GraphBuilder",
     "AttributeIndex",
     "ActiveDomainIndex",
-    "HAVE_NUMPY",
     "d_hop_neighborhood",
     "induced_subgraph",
     "GraphStatistics",

@@ -35,15 +35,11 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from repro.errors import GraphError
-from repro.graph.ball import HAVE_NUMPY, BallKernel, bits_from_mask, mask_positions
-
-try:  # numpy-free installs score δ on the pure-Python paths
-    import numpy as np
-
-    from repro.graph.gower_columns import EXOTIC, CodeTable, GowerColumn
-except ImportError:  # pragma: no cover - exercised by the numpy-free CI matrix
-    GowerColumn = None
+from repro.graph.ball import BallKernel, bits_from_mask, mask_positions
+from repro.graph.gower_columns import EXOTIC, CodeTable, GowerColumn
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (indexes → here)
     from repro.graph.indexes import GraphIndexes
@@ -89,25 +85,16 @@ class LabelEnumeration:
         full: The mask of every node of the label.
     """
 
-    __slots__ = ("label", "ids", "position", "full", "_array")
+    __slots__ = ("label", "ids", "position", "full")
 
     def __init__(self, label: str, ids: Iterable[int]) -> None:
         self.label = label
         self.ids: Tuple[int, ...] = tuple(sorted(ids))
         self.position: Dict[int, int] = dict(zip(self.ids, range(len(self.ids))))
         self.full = (1 << len(self.ids)) - 1
-        self._array = None
-
-    @property
-    def array(self):
-        """``ids`` as an int64 array (numpy only; raises ``OverflowError``,
-        ``TypeError`` or ``ValueError`` for ids int64 cannot hold)."""
-        if self._array is None:
-            self._array = np.array(self.ids, dtype=np.int64)
-        return self._array
 
     def positions(self, mask: int):
-        """The set bit positions of ``mask``, an int64 array (numpy only)."""
+        """The set bit positions of ``mask``, an int64 array."""
         return np.flatnonzero(bits_from_mask(mask, len(self.ids)))
 
     def mask_of(self, nodes: Iterable[int]) -> int:
@@ -123,7 +110,7 @@ class LabelEnumeration:
     def to_ids(self, mask: int) -> FrozenSet[int]:
         """The ids behind ``mask`` (the graph's own id objects)."""
         ids = self.ids
-        if HAVE_NUMPY and mask.bit_count() >= VECTOR_TO_IDS_BITS:
+        if mask.bit_count() >= VECTOR_TO_IDS_BITS:
             return frozenset([ids[i] for i in mask_positions(mask, len(ids))])
         out = []
         while mask:
@@ -296,7 +283,7 @@ class AttributedGraph:
 
     def gower_column(self, label: str, attribute: str) -> "GowerColumn":
         """The ``(label, attribute)`` Gower column, row ``i`` for the label
-        enumeration's ``ids[i]`` (numpy only). Built on first use,
+        enumeration's ``ids[i]``. Built on first use,
         patched by ``_set_attribute_in_place``, dropped by ``add_node``."""
         column = self._columns.get((label, attribute))
         if column is None:
@@ -309,7 +296,7 @@ class AttributedGraph:
 
     def code_table(self, label: str, attribute: str) -> "CodeTable":
         """The :class:`~repro.graph.gower_columns.CodeTable` of
-        :meth:`gower_column` (numpy only)."""
+        :meth:`gower_column`."""
         ids = self.enumeration(label).ids
         return self.gower_column(label, attribute).code_table(
             lambda positions: [self._nodes[ids[i]].attributes.get(attribute) for i in positions]
@@ -319,16 +306,12 @@ class AttributedGraph:
     # d-hop ball kernel
     # ------------------------------------------------------------------ #
 
-    def ball_kernel(self) -> Optional[BallKernel]:
+    def ball_kernel(self) -> BallKernel:
         """The graph's :class:`~repro.graph.ball.BallKernel` (built on
-        first use; None without numpy or for ids int64 cannot hold, where
-        :mod:`repro.graph.ball` walks :meth:`neighbors` instead).
-        ``add_node``/``add_edge`` drop it, the in-place edge hooks splice it."""
-        if self._ball is None and HAVE_NUMPY:
-            try:
-                self._ball = BallKernel(self._enumerations, self._out)
-            except (OverflowError, TypeError, ValueError):
-                return None
+        first use). ``add_node``/``add_edge`` drop it, the in-place edge
+        hooks splice it."""
+        if self._ball is None:
+            self._ball = BallKernel(self._enumerations, self._out)
         return self._ball
 
     # ------------------------------------------------------------------ #
@@ -428,7 +411,7 @@ class AttributedGraph:
 
     def _domain_repair(self, label: str, name: str, node_id: int, old: Optional[AttrValue]):
         """Prepare to repair the memoized ``(name, label)`` active domain
-        across one cell rewrite; None without numpy.
+        across one cell rewrite.
 
         Called before the rewrite: it builds the Gower column if need be
         and notes the old value's ``==`` class (its code's positions).
@@ -438,8 +421,6 @@ class AttributedGraph:
         returns False when it cannot (the domain is then rebuilt on the
         next read).
         """
-        if GowerColumn is None:
-            return None
         column = self.gower_column(label, name)
         ids = self.enumeration(label).ids
         position = self.enumeration(label).position[node_id]

@@ -23,8 +23,8 @@ the ball through one walk:
 * :class:`BallDepths` — the depth variant: one walk to the largest
   ledger diameter yields the ball of every smaller one.
 
-Without numpy the same API walks ``graph.neighbors`` level by level, a
-ball is an id set, and masks come from the caller's ``BitsetIndex``.
+Node ids map to kernel positions through one id → position dict, so
+every graph gets a kernel, ids int64 cannot hold included.
 """
 
 from __future__ import annotations
@@ -42,19 +42,12 @@ from typing import (
     Tuple,
 )
 
-try:  # numpy-free installs walk graph.neighbors instead
-    import numpy as np
+import numpy as np
 
-    from repro.graph.gower_columns import EXOTIC, MISSING
-except ImportError:  # pragma: no cover - exercised by the numpy-free CI matrix
-    np = None
+from repro.graph.gower_columns import EXOTIC, MISSING
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.graph.attributed_graph import AttributedGraph, Enumerations
-    from repro.graph.indexes import BitsetIndex
-
-#: True when numpy is importable (graphs then own a :class:`BallKernel`).
-HAVE_NUMPY = np is not None
 
 
 def bits_from_mask(mask: int, size: int):
@@ -76,49 +69,35 @@ def mask_positions(mask: int, size: int) -> List[int]:
     return np.flatnonzero(bits_from_mask(mask, size)).tolist()
 
 
-def _id_array(ids) -> "np.ndarray":
-    """Node ids as int64; ids int64 cannot hold are dropped (never nodes
-    of a graph that has a kernel)."""
-    if not isinstance(ids, (list, tuple, set, frozenset)):
-        ids = list(ids)
-    try:
-        return np.fromiter(ids, dtype=np.int64, count=len(ids))
-    except (OverflowError, TypeError, ValueError):
-        return np.array(
-            [v for v in ids if isinstance(v, int) and -(2**63) <= v < 2**63], dtype=np.int64
-        )
-
-
 class BallKernel:
     """Label-grouped undirected CSR of one graph (see the module docstring).
 
     Built from the graph's label enumerations
     (:class:`~repro.graph.attributed_graph.Enumerations`) and
-    out-adjacency; raises ``TypeError``/``ValueError``/``OverflowError``
-    when the node ids are not int64-representable (the graph then keeps
-    walking in Python).
+    out-adjacency.
     """
 
-    __slots__ = ("spans", "order", "offsets", "targets", "edges", "_sorted_ids", "_sorted_pos")
+    __slots__ = ("spans", "order", "position", "offsets", "targets", "edges")
 
     def __init__(
         self,
         enumerations: "Enumerations",
         out: Mapping[int, Mapping[str, Iterable[int]]],
     ) -> None:
-        slices = []
-        position: Dict[int, int] = {}
+        ids: List[int] = []
         #: label → (start, stop) of its slice of the enumeration.
         self.spans: Dict[str, Tuple[int, int]] = {}
         for label in sorted(enumerations.by_label):
-            enumeration = enumerations[label]
-            start = len(position)
-            slices.append(enumeration.array)
-            position.update(zip(enumeration.ids, range(start, start + len(enumeration.ids))))
-            self.spans[label] = (start, len(position))
-        self.order = np.concatenate([np.empty(0, np.int64)] + slices)
-        self._sorted_pos = np.argsort(self.order, kind="stable").astype(np.int32)
-        self._sorted_ids = self.order[self._sorted_pos]
+            start = len(ids)
+            ids.extend(enumerations[label].ids)
+            self.spans[label] = (start, len(ids))
+        #: Node ids in enumeration order (an object array: the graph's own
+        #: id objects, whatever their size).
+        self.order = np.empty(len(ids), dtype=object)
+        self.order[:] = ids
+        #: The inverse map, node id → enumeration position.
+        self.position: Dict[int, int] = dict(zip(ids, range(len(ids))))
+        position = self.position
         sources: Dict[str, List[int]] = {}
         targets: Dict[str, List[int]] = {}
         for node, by_edge_label in out.items():
@@ -150,13 +129,8 @@ class BallKernel:
     def positions(self, ids) -> "np.ndarray":
         """Enumeration positions of the known ids among ``ids`` (unknown
         ids are dropped)."""
-        wanted = _id_array(ids)
-        if not len(self.order) or not wanted.size:
-            return np.empty(0, dtype=np.int64)
-        index = np.searchsorted(self._sorted_ids, wanted)
-        np.minimum(index, len(self.order) - 1, out=index)
-        index = index[self._sorted_ids[index] == wanted]
-        return self._sorted_pos[index].astype(np.int64)
+        found = [p for p in map(self.position.get, ids) if p is not None]
+        return np.array(found, dtype=np.int64)
 
     def walk(
         self, seen: "np.ndarray", d: int, depth: Optional["np.ndarray"] = None
@@ -228,7 +202,7 @@ class BallKernel:
         """Repair the kernel after one edge insert/delete: recompute both
         endpoints' rows from ``neighbors`` (the mutated graph's undirected
         neighbourhood) and add or drop the edge's endpoint pair."""
-        s, t = self.positions((source, target)).tolist()
+        s, t = self.position[source], self.position[target]
         for anchor, node in {s: source, t: target}.items():
             row = np.sort(self.positions(neighbors(node))).astype(np.int32)
             lo, hi = int(self.offsets[anchor]), int(self.offsets[anchor + 1])
@@ -244,11 +218,11 @@ class BallKernel:
 
 class Ball:
     """A d-hop ball: a bool vector over a :class:`BallKernel`'s
-    enumeration, or (numpy-free) a frozenset of node ids."""
+    enumeration."""
 
     __slots__ = ("_kernel", "members", "_masks")
 
-    def __init__(self, kernel: Optional[BallKernel], members) -> None:
+    def __init__(self, kernel: BallKernel, members: "np.ndarray") -> None:
         self._kernel = kernel
         self.members = members
         self._masks: Dict[str, int] = {}
@@ -258,8 +232,6 @@ class Ball:
 
     def ids(self) -> FrozenSet[int]:
         """The ball's node ids."""
-        if self._kernel is None:
-            return self.members
         return frozenset(self._kernel.order[self.members].tolist())
 
     def vector(self, label: str):
@@ -268,29 +240,19 @@ class Ball:
         span = self._kernel.spans.get(label)
         return None if span is None else self.members[span[0] : span[1]]
 
-    def _ids_at(self, label: str, positions) -> List[int]:
-        """Node ids at ``positions`` of ``label``'s slice."""
-        return self._kernel.order[positions + self._kernel.spans[label][0]].tolist()
-
-    def mask(self, label: str, bitsets: "BitsetIndex") -> int:
-        """The ball's ``label`` nodes as a mask over ``bitsets``' positions
-        (``bitsets`` resolves them only on the numpy-free path)."""
+    def mask(self, label: str) -> int:
+        """The ball's ``label`` nodes as a mask over
+        ``graph.enumeration(label)``."""
         mask = self._masks.get(label)
         if mask is None:
-            if self._kernel is None:
-                mask = bitsets.mask_of(label, self.members)
-            else:
-                vector = self.vector(label)
-                mask = 0 if vector is None else mask_from_bits(vector)
-            self._masks[label] = mask
+            vector = self.vector(label)
+            mask = self._masks[label] = 0 if vector is None else mask_from_bits(vector)
         return mask
 
     def codes(self, graph: "AttributedGraph", label: str, attribute: str):
         """Gower codes of the ball's ``label`` nodes carrying ``attribute``
-        (``graph.gower_column``), or None when they cannot stand for the
-        values: on the numpy-free path and when a cell is ``EXOTIC``."""
-        if self._kernel is None:
-            return None
+        (``graph.gower_column``), or None when a cell is ``EXOTIC`` and the
+        codes cannot stand for the values."""
         vector = self.vector(label)
         if vector is None:
             return np.zeros(0, dtype=np.int32)
@@ -304,26 +266,19 @@ class Ball:
         """Distinct values of ``attribute`` over the ball's ``label`` nodes,
         read node by node in ascending id order (the set, repr included,
         is the one that scan builds)."""
-        if self._kernel is None:
-            nodes = sorted(v for v in self.members if graph.label(v) == label)
-        else:
-            vector = self.vector(label)
-            nodes = [] if vector is None else self._ids_at(label, np.flatnonzero(vector))
+        vector = self.vector(label)
         values: Set[object] = set()
-        for node in nodes:
-            value = graph.attribute(node, attribute)
+        if vector is None:
+            return values
+        ids = graph.enumeration(label).ids
+        for position in np.flatnonzero(vector).tolist():
+            value = graph.attribute(ids[position], attribute)
             if value is not None:
                 values.add(value)
         return values
 
-    def has_labeled_edge(self, graph: "AttributedGraph", edge_label: str) -> bool:
+    def has_labeled_edge(self, edge_label: str) -> bool:
         """True iff some ``edge_label`` edge has both endpoints in the ball."""
-        if self._kernel is None:
-            return any(
-                target in self.members
-                for node in self.members
-                for target in graph.successors(node, edge_label)
-            )
         ends = self._kernel.edges.get(edge_label)
         return ends is not None and bool((self.members[ends[0]] & self.members[ends[1]]).any())
 
@@ -334,48 +289,25 @@ class BallDepths:
 
     __slots__ = ("_kernel", "_depths")
 
-    def __init__(self, kernel: Optional[BallKernel], depths) -> None:
+    def __init__(self, kernel: BallKernel, depths: "np.ndarray") -> None:
         self._kernel = kernel
         self._depths = depths
 
     def ball(self, d: int) -> Ball:
         """Nodes within ``d`` hops of a seed."""
-        if self._kernel is None:
-            return Ball(None, frozenset(v for v, depth in self._depths.items() if depth <= d))
         return Ball(self._kernel, self._depths <= d)
-
-
-def _bfs_depths(graph: "AttributedGraph", seeds: Iterable[int], limit: int) -> Dict[int, int]:
-    """The numpy-free walk: depths of the nodes within ``limit`` hops."""
-    depths = {node: 0 for node in seeds if node in graph}
-    frontier = list(depths)
-    for level in range(1, limit + 1):
-        reached = []
-        for node in frontier:
-            for neighbor in graph.neighbors(node):
-                if neighbor not in depths:
-                    depths[neighbor] = level
-                    reached.append(neighbor)
-        if not reached:
-            break
-        frontier = reached
-    return depths
 
 
 def d_hop_ball(graph: "AttributedGraph", seeds: Iterable[int], d: int) -> Ball:
     """The nodes within ``d`` undirected hops of ``seeds`` (seeds that are
     not nodes of ``graph`` are ignored)."""
     kernel = graph.ball_kernel()
-    if kernel is None:
-        return Ball(None, frozenset(_bfs_depths(graph, seeds, d)))
     return Ball(kernel, kernel.walk(kernel.seeds(seeds), d))
 
 
 def mask_ball(graph: "AttributedGraph", label: str, mask: int, d: int) -> Ball:
     """:func:`d_hop_ball` seeded by a mask over ``label``'s enumeration."""
     kernel = graph.ball_kernel()
-    if kernel is None:
-        return d_hop_ball(graph, graph.enumeration(label).to_ids(mask), d)
     seen = np.zeros(len(kernel), dtype=bool)
     span = kernel.spans.get(label)
     if span is not None:
@@ -386,8 +318,6 @@ def mask_ball(graph: "AttributedGraph", label: str, mask: int, d: int) -> Ball:
 def ball_depths(graph: "AttributedGraph", seeds: Iterable[int], limit: int) -> BallDepths:
     """Hop depths from ``seeds`` up to ``limit`` (see :class:`BallDepths`)."""
     kernel = graph.ball_kernel()
-    if kernel is None:
-        return BallDepths(None, _bfs_depths(graph, seeds, limit))
     seen = kernel.seeds(seeds)
     depth = np.full(len(kernel), np.iinfo(np.int32).max, dtype=np.int32)
     depth[seen] = 0

@@ -35,7 +35,6 @@ reads :attr:`MatchResult.candidates`.
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict, deque
 from typing import (
     TYPE_CHECKING,
@@ -70,8 +69,7 @@ Relation = Tuple[str, str, bool, str]
 #: swept when the pool holds at least ``SWEEP_CROSSOVER * (m + 2048)``
 #: candidates (m/32 + 64), and probed row by row below that. A sweep
 #: costs O(|V| + m) whatever the pool; a probe costs one row per candidate.
-#: 0 always sweeps and a huge value always probes; without numpy (or a
-#: ball kernel) every constraint probes.
+#: 0 always sweeps and a huge value always probes.
 SWEEP_CROSSOVER = 1 / 32
 
 
@@ -528,9 +526,9 @@ class BitsetEngine:
         """
         bitsets = self.bitsets
         kernel = self.graph.ball_kernel()
-        # No pool below this sweeps, whatever its edge label (and none
-        # at all without a kernel), so small pools never price a sweep.
-        floor = math.inf if kernel is None else max(1, _crossover(0))
+        # No pool below this sweeps, whatever its edge label, so small
+        # pools never price a sweep.
+        floor = max(1, _crossover(0))
         # Per node: (other, row-table key) for each incident query edge.
         constraints: Dict[str, List[Tuple[str, Relation]]] = {
             n: [] for n in instance.active_nodes

@@ -66,8 +66,7 @@ def reverify_matches(
     """
     output = instance.output_node
     label = instance.node_label(output)
-    bitsets = matcher.indexes.bitsets
-    pool = ball.mask(label, bitsets)
+    pool = ball.mask(label)
     unchanged = old & ~pool
     literal_pools = matcher.engine.literal_pools
     for literal in instance.literals_on(output):
@@ -82,7 +81,7 @@ def reverify_matches(
     # matcher's arc-consistency pass local instead of O(graph).
     witness = mask_ball(graph, label, pool, instance_diameter(instance))
     restrict = {
-        node_id: witness.mask(instance.node_label(node_id), bitsets)
+        node_id: witness.mask(instance.node_label(node_id))
         for node_id in instance.active_nodes
     }
     restrict[output] = pool

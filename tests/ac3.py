@@ -4,8 +4,7 @@
 between one support sweep over the graph's edge arrays and row probes per
 candidate. Test graphs are far below the default crossover, so the tests
 that need the sweep set it to 0 (every constraint sweeps) and compare
-against a huge value (every constraint probes). Without numpy there is no
-sweep and both settings probe.
+against a huge value (every constraint probes).
 """
 
 from contextlib import contextmanager

@@ -27,7 +27,6 @@ from repro import (
     OnlineQGen,
     RfQGen,
 )
-from repro.graph.ball import HAVE_NUMPY
 from repro.obs import MetricsRegistry
 from tests.ac3 import BOTH_PATHS, forced
 
@@ -53,7 +52,7 @@ def test_delta_scoring_is_bit_identical(algo_cls, ac3_path, talent_config):
     with forced(ac3_path):
         delta = algo_cls(delta_config).run()
     swept = registry.value("matcher.bitset.support_sweeps")
-    assert (swept > 0) == (ac3_path == "sweep" and HAVE_NUMPY)
+    assert (swept > 0) == (ac3_path == "sweep")
     assert _fingerprint(delta) == _fingerprint(baseline)
     assert delta.epsilon == baseline.epsilon
 

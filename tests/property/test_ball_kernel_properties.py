@@ -6,14 +6,12 @@ checked against a naive computation that lives only here:
 
 * the ball, its per-label masks and its depth variant ≡ a BFS over the
   graph's edge list — also after random in-place insert/delete streams,
-  where the spliced kernel must equal one built fresh (numpy only);
+  where the spliced kernel must equal one built fresh;
 * ``attribute_values`` ≡ the set a scan of the in-ball nodes in id order
   builds, compared by ``repr`` (so ``1``/``1.0``/``True`` keep the same
   representative), with missing, unhashable and NaN values in the mix;
 * ``has_labeled_edge`` ≡ a scan of the edge list;
 * mask-based re-verification after an in-place delta ≡ a cold match.
-
-Without numpy the same properties run on the pure-Python walk.
 """
 
 import math
@@ -23,7 +21,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.attributed_graph import Enumerations
-from repro.graph.ball import HAVE_NUMPY, BallKernel, ball_depths, d_hop_ball
+from repro.graph.ball import BallKernel, ball_depths, d_hop_ball
 from repro.graph.indexes import BitsetIndex
 from repro.matching.delta import GraphDelta
 from repro.matching.matcher import SubgraphMatcher
@@ -97,7 +95,7 @@ def assert_ball_matches_oracle(graph, seeds, d):
     assert ball.ids() == set(expected)
     bitsets = BitsetIndex(graph)
     for label in graph.node_labels():
-        assert ball.mask(label, bitsets) == bitsets.mask_of(label, expected)
+        assert ball.mask(label) == bitsets.mask_of(label, expected)
     depths = ball_depths(graph, seeds, d)
     for k in range(d + 2):
         assert depths.ball(k).ids() == {n for n, depth in expected.items() if depth <= k}
@@ -114,8 +112,6 @@ def naive_values(graph, members, label, attribute):
 
 
 def assert_kernel_equals_fresh(graph):
-    if not HAVE_NUMPY:
-        return
     kernel = graph.ball_kernel()
     fresh = BallKernel(Enumerations(graph._by_label), graph._out)
     assert kernel.order.tolist() == fresh.order.tolist()
@@ -197,7 +193,7 @@ class TestReads:
                 edge.label == label and edge.source in members and edge.target in members
                 for edge in graph.edges()
             )
-            assert ball.has_labeled_edge(graph, label) == expected
+            assert ball.has_labeled_edge(label) == expected
 
 
 def path_template():

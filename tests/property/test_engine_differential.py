@@ -13,7 +13,6 @@ lazily materialized ``MatchResult.candidates``.
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.graph.attributed_graph import AttributedGraph
-from repro.graph.ball import HAVE_NUMPY
 from repro.matching import (
     SubgraphMatcher,
     naive_match_set,
@@ -331,5 +330,4 @@ class TestDenseSiblingSweep:
         assert default.metrics.value("matcher.ac_removed") == probe.metrics.value(
             "matcher.ac_removed"
         )
-        if HAVE_NUMPY:
-            assert default.metrics.value("matcher.bitset.support_sweeps") > 0
+        assert default.metrics.value("matcher.bitset.support_sweeps") > 0

@@ -1,7 +1,7 @@
 """The vectorised δ kernel is bitwise equal to the pure-Python oracle.
 
 :class:`~repro.core.gower.GowerKernel` must reproduce
-:meth:`DiversityMeasure.of` of the numpy-free paths exactly — compared with
+:meth:`DiversityMeasure.of` of the pure-Python paths exactly — compared with
 ``float.hex``, not a tolerance — over label graphs with mixed
 int/float/str/bool/missing/unhashable values, answers of 0 to ~200 nodes
 (across the exact/decomposed threshold of 64), zero-spread numerics,
@@ -15,11 +15,9 @@ import math
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-pytest.importorskip("numpy")
-
-from repro.core.measures import DiversityMeasure  # noqa: E402
-from repro.graph.attributed_graph import AttributedGraph  # noqa: E402
-from repro.graph.gower_columns import EXOTIC as EXOTIC_CODE, MISSING  # noqa: E402
+from repro.core.measures import DiversityMeasure
+from repro.graph.attributed_graph import AttributedGraph
+from repro.graph.gower_columns import EXOTIC as EXOTIC_CODE, MISSING
 
 SETTINGS = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -138,13 +136,13 @@ class TestKernelEqualsOracle:
         assert outcome(kernel.of_maintained, answer) == outcome(oracle.of, answer)
 
 
-def test_ids_beyond_int64_run_the_python_path():
+def test_ids_beyond_int64_run_the_kernel():
     graph = AttributedGraph("g")
     for offset, score in enumerate([3, 7, 7.5]):
         graph.add_node(2**70 + offset, "m", {"score": score, "tag": "xy"[offset % 2]})
     kernel, oracle = measures(graph.freeze(), 0.5, "auto")
     answer = set(graph.node_ids())
-    assert kernel._positions(sorted(answer)) is None
+    assert kernel._positions(sorted(answer)).tolist() == [0, 1, 2]
     assert_bitwise(kernel, oracle, answer)
 
 

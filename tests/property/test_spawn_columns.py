@@ -1,8 +1,8 @@
 """Spawn over columns equals the per-node oracle.
 
 Template refinement snaps the ball's values of a range variable's
-attribute into the variable's domain. With numpy the snap reads the
-attribute's Gower column through its code table, and an in-place
+attribute into the variable's domain. The snap reads the attribute's
+Gower column through its code table, and an in-place
 attribute update repairs the memoized active domain instead of dropping
 it. Both are checked against oracles that live only here:
 
@@ -17,19 +17,20 @@ it. Both are checked against oracles that live only here:
 
 Columns mix ``1``/``1.0``/``True``/``numpy.int64(1)``, tuples beside
 their ``str``, NaN, an unhashable list, an int ``float()`` rejects and
-missing cells. Without numpy the same laws hold on the per-value path.
+missing cells.
 """
 
 import bisect
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import lattice
 from repro.graph.active_domain import ActiveDomainIndex
 from repro.graph.attributed_graph import AttributedGraph
-from repro.graph.ball import HAVE_NUMPY, Ball, d_hop_ball
+from repro.graph.ball import Ball, d_hop_ball
 from repro.matching.delta import GraphDelta, apply_delta
 from repro.query import Op, QueryTemplate
 from repro.query.variables import _value_key
@@ -43,17 +44,10 @@ OPS = (Op.EQ, Op.GE, Op.GT, Op.LE, Op.LT)
 HUGE = 10**400  # float() raises OverflowError
 
 
-def _numpy_one():
-    if not HAVE_NUMPY:
-        return 1
-    import numpy as np
-
-    return np.int64(1)  # == 1 and hashes alike, but keys as a string
-
-
-#: Cell values; None = missing, ``[1]`` is unhashable.
+#: Cell values; None = missing, ``[1]`` is unhashable, ``np.int64(1)`` is
+#: ``== 1`` and hashes alike but keys as a string.
 VALUES = (
-    None, 0, 1, 1.0, True, False, 2, 2.5, -3, HUGE, _numpy_one(),
+    None, 0, 1, 1.0, True, False, 2, 2.5, -3, HUGE, np.int64(1),
     "a", "b", "(1, 2)", (1, 2), (1.0, 2), math.nan, [1],
 )
 HASHABLE = tuple(v for v in VALUES if v is not None and not isinstance(v, list))
@@ -209,7 +203,6 @@ def test_update_stream_keeps_snaps_and_domains_exact(graph, data):
         check_snap(graph, data)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="code tables need numpy")
 def test_plain_columns_snap_without_reading_nodes(monkeypatch):
     graph = AttributedGraph("plain")
     values = [3, 1.5, True, "x", 7, 1, "y", 0, 3.0]
@@ -237,7 +230,6 @@ def test_plain_columns_snap_without_reading_nodes(monkeypatch):
             ], (op, seeds, d)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="domain repair reads the Gower column")
 def test_attribute_update_repairs_the_domain_in_place():
     graph = AttributedGraph("repair")
     for i, value in enumerate([5, 1, 5, 2.5, "s"]):
@@ -250,7 +242,7 @@ def test_attribute_update_repairs_the_domain_in_place():
     assert_domains_cold(graph)
 
 
-@pytest.mark.parametrize("first, other, bound", [((1, 2), (1.0, 2), "(1, 3)"), (1, _numpy_one(), 2)])
+@pytest.mark.parametrize("first, other, bound", [((1, 2), (1.0, 2), "(1, 3)"), (1, np.int64(1), 2)])
 def test_equal_values_with_different_keys_snap_by_their_own_key(first, other, bound):
     # ``first`` (node 0, outside the ball) and ``other`` (node 2, inside)
     # share a code, but only ``other``'s key clears ``bound``.

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.evaluator import InstanceEvaluator
 from repro.errors import MatchingError
-from repro.graph.ball import HAVE_NUMPY
 from repro.graph.builder import GraphBuilder
 from repro.graph.indexes import GraphIndexes
 from repro.matching import (
@@ -222,7 +221,6 @@ def support_graph():
     return builder.build()
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="the sweep reads the numpy ball kernel")
 class TestSupportSweep:
     """``BallKernel.support`` against per-candidate row probes."""
 

@@ -16,22 +16,16 @@ masks vs ``Literal.holds_for``, interned codes vs raw-value equality,
 in-place repairs vs a fresh build.
 """
 
-import pytest
-
 from repro.graph.attributed_graph import Enumerations
-from repro.graph.ball import HAVE_NUMPY, BallKernel, bits_from_mask, mask_from_bits
+from repro.graph.ball import BallKernel, bits_from_mask, mask_from_bits
 from repro.graph.builder import GraphBuilder
+from repro.graph.gower_columns import EXOTIC, MISSING, GowerColumn
 from repro.graph.indexes import BitsetIndex, GraphIndexes
 from repro.matching.bitset import LiteralPoolCache
 from repro.matching.delta import GraphDelta
 from repro.obs import MetricsRegistry
 from repro.query.predicates import Literal, Op
 from repro.streaming.graph_ops import apply_delta_in_place
-
-if HAVE_NUMPY:
-    from repro.graph.gower_columns import EXOTIC, MISSING, GowerColumn
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy-only layouts")
 
 
 def sample_graph():
@@ -69,7 +63,6 @@ def endpoint_pairs(kernel, edge_label):
     return {(order[s], order[t]) for s, t in zip(sources.tolist(), targets.tolist())}
 
 
-@needs_numpy
 class TestStoreLayout:
     def test_orders_match_bitset_enumerations(self):
         graph = sample_graph()
@@ -79,7 +72,7 @@ class TestStoreLayout:
         for label in graph.node_labels():
             start, stop = kernel.spans[label]
             assert tuple(order[start:stop]) == bitset.order(label)
-            assert tuple(graph.enumeration(label).array.tolist()) == bitset.order(label)
+            assert graph.enumeration(label).ids == bitset.order(label)
         assert sorted(order) == sorted(graph._nodes)
 
     def test_cross_index_arrays_roundtrip(self):
@@ -93,7 +86,6 @@ class TestStoreLayout:
         assert kernel.positions([10_000]).tolist() == []
 
 
-@needs_numpy
 class TestCSR:
     def test_rows_equal_adjacency_dicts(self):
         graph = sample_graph()
@@ -184,7 +176,6 @@ class TestCompiledPredicates:
         assert pools.mask("person", Literal("age", Op.EQ, 30)) != 0
 
 
-@needs_numpy
 class TestInterning:
     def test_equal_values_share_codes(self):
         column = GowerColumn(["x", "y", "x", None, "y"])
@@ -212,7 +203,6 @@ class TestInterning:
         assert column.exotic == 1
 
 
-@needs_numpy
 class TestInPlaceRepair:
     def delta(self):
         return GraphDelta(
@@ -238,7 +228,7 @@ class TestInPlaceRepair:
             assert endpoint_pairs(kernel, edge_label) == endpoint_pairs(fresh, edge_label)
         for (label, attribute), patched in columns.items():
             assert graph.gower_column(label, attribute) is patched
-            raw = [graph.attribute(v, attribute) for v in graph.enumeration(label).array.tolist()]
+            raw = [graph.attribute(v, attribute) for v in graph.enumeration(label).ids]
             rebuilt = GowerColumn(raw)
             assert patched.present.tolist() == rebuilt.present.tolist()
             assert patched.numeric.tolist() == rebuilt.numeric.tolist()
@@ -252,7 +242,6 @@ class TestInPlaceRepair:
                     )
 
 
-@needs_numpy
 class TestMaskHelpers:
     def test_roundtrip(self):
         for mask in (0, 1, 0b1011, (1 << 70) | 5):
