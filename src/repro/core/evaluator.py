@@ -10,7 +10,7 @@ incremental verifications, wall work via backtrack calls).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import FrozenSet, Optional
+from typing import FrozenSet, Optional, Tuple
 
 from repro.core.config import GenerationConfig
 from repro.core.measures import CoverageMeasure, DiversityMeasure
@@ -91,9 +91,10 @@ class InstanceEvaluator:
     """Verifies instances and computes their quality coordinates.
 
     Results are memoized by instantiation, so re-evaluating an instance
-    reached through a different lattice path is free. The memo is an LRU
-    under the same bound as the verifier's
-    (``GenerationConfig.verifier_max_entries``; None keeps it unbounded).
+    reached through a different lattice path is free, and scores by answer
+    mask, so distinct instances with one answer pay for δ and f once. Both
+    memos are LRUs under the same bound as the verifier's
+    (``GenerationConfig.verifier_max_entries``; None keeps them unbounded).
 
     Args:
         config: The generation configuration.
@@ -147,6 +148,10 @@ class InstanceEvaluator:
                 max_entries=config.score_cache_max_entries,
             )
         self._evaluated: "OrderedDict[tuple, EvaluatedInstance]" = OrderedDict()
+        # (δ, f, feasible) by answer mask over ``_scored_over``, the one
+        # output-label enumeration the masks index.
+        self._scored: "OrderedDict[int, Tuple[float, float, bool]]" = OrderedDict()
+        self._scored_over: Optional[LabelEnumeration] = None
         self._max_entries = config.verifier_max_entries
         # Pre-register so snapshots always carry the pair, even at zero.
         self.metrics.counter("evaluator.eval_calls")
@@ -190,8 +195,8 @@ class InstanceEvaluator:
         parent_matches: Optional[FrozenSet[int]] = None,
     ) -> EvaluatedInstance:
         """(δ, f, feasible) of the answer ``mask`` over ``enumeration``:
-        one popcount per group, δ at the mask's bit positions. The
-        delta-scoring engine takes the id set, derived from
+        one popcount per group, δ at the mask's bit positions, memoized by
+        mask. The delta-scoring engine takes the id set, derived from
         ``parent_matches`` when it can."""
         if self.scoring is not None:
             matches = enumeration.to_ids(mask)
@@ -200,9 +205,20 @@ class InstanceEvaluator:
                 instance, matches, delta=scored.delta, coverage=scored.coverage,
                 feasible=scored.feasible, mask=mask, enumeration=enumeration,
             )
-        coverage, feasible = self.coverage.of_mask(enumeration, mask)
+        if enumeration is not self._scored_over:
+            self._scored.clear()
+            self._scored_over = enumeration
+        scored = self._scored.get(mask)
+        if scored is None:
+            coverage, feasible = self.coverage.of_mask(enumeration, mask)
+            scored = self._scored[mask] = (self.diversity.of(mask), coverage, feasible)
+            if self._max_entries is not None and len(self._scored) > self._max_entries:
+                self._scored.popitem(last=False)
+        else:
+            self._scored.move_to_end(mask)
+        delta, coverage, feasible = scored
         return EvaluatedInstance(
-            instance, delta=self.diversity.of(mask), coverage=coverage,
+            instance, delta=delta, coverage=coverage,
             feasible=feasible, mask=mask, enumeration=enumeration,
         )
 
@@ -246,6 +262,7 @@ class InstanceEvaluator:
         """Clear memoization and counters (between benchmark repetitions)."""
         self.verifier.clear()
         self._evaluated.clear()
+        self._scored.clear()
         if self.scoring is not None:
             self.scoring.clear()
 
@@ -255,14 +272,16 @@ class InstanceEvaluator:
         """Drop match-derived memos after an in-place graph delta.
 
         Verifier results and evaluated instances are keyed on the old
-        graph's answers; measures and the scoring engine are *not* touched
-        — their validity after a delta is attribute-dependent and decided
-        separately by the streaming session (see
+        graph's answers, and the score memo goes with them; measures and
+        the scoring engine are *not* touched — their validity after a delta
+        is attribute-dependent and decided separately by the streaming
+        session (see
         :meth:`repair_scoring` / :meth:`rebuild_measures`). Counters keep
         accumulating (contrast :meth:`reset_counters`).
         """
         self.verifier.invalidate()
         self._evaluated.clear()
+        self._scored.clear()
 
     def repair_scoring(self, nodes) -> int:
         """Scoped score repair: drop state involving ``nodes``.
@@ -270,8 +289,10 @@ class InstanceEvaluator:
         For an attribute update that cannot change any normalizing spread:
         distance pair-caches and scoring-engine entries touching the
         updated nodes are dropped, everything disjoint stays warm. Returns
-        the number of dropped scoring-engine entries.
+        the number of dropped scoring-engine entries. The score memo is
+        cleared.
         """
+        self._scored.clear()
         distance = getattr(self.diversity, "distance", None)
         if distance is not None and hasattr(distance, "invalidate_nodes"):
             distance.invalidate_nodes(nodes)
@@ -289,8 +310,10 @@ class InstanceEvaluator:
         the scoring engine's maintained states and scores are repaired in
         place from the coalesced attribute ``changes`` and the group
         :class:`~repro.groups.system.MembershipDiff`. Returns the
-        engine's ``(patched, invalidated)`` entry counts.
+        engine's ``(patched, invalidated)`` entry counts. The score memo
+        is cleared.
         """
+        self._scored.clear()
         if distance_nodes:
             distance = getattr(self.diversity, "distance", None)
             if distance is not None and hasattr(distance, "invalidate_nodes"):
@@ -319,3 +342,4 @@ class InstanceEvaluator:
                 max_entries=self.config.score_cache_max_entries,
             )
         self._evaluated.clear()
+        self._scored.clear()

@@ -49,6 +49,22 @@ MISSING = -1
 EXOTIC = -2
 
 
+def _cell(value: Any, intern: Callable[[Any], int]) -> Tuple[bool, float, int]:
+    """A present cell's ``(numeric, float value, code)``: ``intern`` codes
+    the value unless it is ``EXOTIC``."""
+    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+    number = 0.0
+    code = EXOTIC
+    try:
+        if numeric:
+            number = float(value)
+        if number == number:  # NaN breaks both sorting and ``==``
+            code = intern(value)
+    except (TypeError, OverflowError):
+        pass
+    return numeric, number, code
+
+
 class GowerColumn:
     """One ``(label, attribute)`` column (see the module docstring)."""
 
@@ -58,40 +74,56 @@ class GowerColumn:
     )
 
     def __init__(self, raw: List[Any]) -> None:
+        # One pass storing each cell as ``_store`` does, into lists that
+        # become arrays once.
         size = len(raw)
-        self.present = np.zeros(size, dtype=bool)
-        self.numeric = np.zeros(size, dtype=bool)
-        self.values: Optional[np.ndarray] = None
-        self.codes = np.full(size, MISSING, dtype=np.int32)
+        present = [False] * size
+        numeric = [False] * size
+        numbers = [0.0] * size
+        codes = [MISSING] * size
+        code_of: Dict[Any, int] = {}
+
+        def intern(value: Any) -> int:
+            return code_of.setdefault(value, len(code_of))
+
+        exotic = odd = 0
+        has_number = False
+        for position, value in enumerate(raw):
+            if value is None:
+                continue
+            is_number, number, code = _cell(value, intern)
+            if code == EXOTIC:
+                exotic += 1
+            elif is_number:
+                numbers[position] = number
+                has_number = True
+            if not isinstance(value, (int, float, str)):
+                odd += 1
+            present[position] = True
+            numeric[position] = is_number
+            codes[position] = code
+        self.present = np.array(present, dtype=bool)
+        self.numeric = np.array(numeric, dtype=bool)
+        self.values: Optional[np.ndarray] = (
+            np.array(numbers, dtype=np.float64) if has_number else None
+        )
+        self.codes = np.array(codes, dtype=np.int32)
         #: How many cells are ``EXOTIC`` (0 lets the kernel skip the check).
-        self.exotic = 0
+        self.exotic = exotic
         #: How many cells were stored with a value that is neither a number
         #: nor a string (never decremented, so it can only over-count):
         #: only such values can share a code yet differ in ``_value_key``.
-        self.odd = 0
+        self.odd = odd
         #: The :class:`CodeTable`, built on first use, dropped by ``patch``.
         self.table: Optional[CodeTable] = None
-        self._code_of: Optional[Dict[Any, int]] = {}
-        self._interned: List[Any] = []
-        self._refs: List[int] = []
-        self._free: List[int] = []
-        for position, value in enumerate(raw):
-            if value is not None:
-                self._store(position, value)
         # No value → code table until a patch needs one (_reintern).
-        self._code_of = self._interned = self._refs = self._free = None
+        self._code_of: Optional[Dict[Any, int]] = None
+        self._interned: Optional[List[Any]] = None
+        self._refs: Optional[List[int]] = None
+        self._free: Optional[List[int]] = None
 
     def _store(self, position: int, value: Any) -> None:
-        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-        number = 0.0
-        code = EXOTIC
-        try:
-            if numeric:
-                number = float(value)
-            if number == number:  # NaN breaks both sorting and ``==``
-                code = self._intern(value)
-        except (TypeError, OverflowError):
-            pass
+        numeric, number, code = _cell(value, self._intern)
         if code == EXOTIC:
             self.exotic += 1
         elif numeric:

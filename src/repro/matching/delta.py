@@ -213,7 +213,8 @@ class IncrementalMatchMaintainer:
             new_graph, touched, self._diameter
         )
         self._mask, self.last_rechecked = reverify_matches(
-            SubgraphMatcher(new_graph), new_graph, self.instance, self._mask, ball
+            SubgraphMatcher(new_graph), new_graph, self.instance, self._mask, ball,
+            self._diameter,
         )
         self.graph = new_graph
         return new_graph

@@ -15,6 +15,8 @@ appeared). The streaming session therefore:
 3. repairs each maintained answer mask with
    ``new = (old & ~ball) | match(instance, restrict=ball & pool)`` —
    :func:`reverify_matches` — re-running the matcher only over the ball.
+   Entries sharing an ``(output label, pool, diameter)`` triple share one
+   witness ball per update (the ``witnesses`` map).
 
 Attribute updates ride the same machinery: their influence is the updated
 node itself (literal membership), which the ball at any diameter ≥ 0
@@ -24,7 +26,7 @@ contains by construction (touched seeds are depth 0).
 from __future__ import annotations
 
 from collections import deque
-from typing import Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.ball import Ball, mask_ball
@@ -55,14 +57,21 @@ def reverify_matches(
     instance: QueryInstance,
     old: int,
     ball: Ball,
+    diameter: int,
+    witnesses: Optional[Dict[Tuple[str, int, int], Ball]] = None,
 ) -> Tuple[int, int]:
     """Repair one maintained answer mask against the mutated graph.
 
-    ``old`` and the result are masks over the output label's enumeration.
-    ``matcher`` must be built over ``graph`` *post-mutation* (sharing the
-    repaired indexes). Returns ``(new_mask, rechecked)`` where
-    ``rechecked`` is the size of the re-verified candidate pool — the work
-    metric the ``streaming.instances_rechecked`` counter accumulates.
+    ``old`` and the result are masks over the output label's enumeration;
+    ``diameter`` is :func:`instance_diameter` of ``instance``, which the
+    caller keeps. ``matcher`` must be built over ``graph`` *post-mutation*
+    (sharing the repaired indexes). ``witnesses`` maps ``(output label,
+    pool, diameter)`` to the witness ball walked from that pool; a caller
+    repairing many answers on one unchanged graph passes one map to every
+    call, so each distinct pool is walked once. Returns ``(new_mask,
+    rechecked)`` where ``rechecked`` is the size of the re-verified
+    candidate pool — the work metric the ``streaming.instances_rechecked``
+    counter accumulates.
     """
     output = instance.output_node
     label = instance.node_label(output)
@@ -79,7 +88,11 @@ def reverify_matches(
     # it (template edges map to graph edges), so the non-output variables
     # can be confined to the ball around the pool — this keeps the
     # matcher's arc-consistency pass local instead of O(graph).
-    witness = mask_ball(graph, label, pool, instance_diameter(instance))
+    key = (label, pool, diameter)
+    witnesses = {} if witnesses is None else witnesses
+    witness = witnesses.get(key)
+    if witness is None:
+        witness = witnesses[key] = mask_ball(graph, label, pool, diameter)
     restrict = {
         node_id: witness.mask(instance.node_label(node_id))
         for node_id in instance.active_nodes

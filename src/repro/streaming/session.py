@@ -589,6 +589,9 @@ class StreamingSession:
         """
         guard = self._guard_for(budget)
         balls: Dict[int, Ball] = {}
+        # The graph is fixed for this loop, so a witness ball depends only
+        # on its (output label, pool, diameter) key: walk each one once.
+        witnesses: Dict[Tuple[str, int, int], Ball] = {}
         rechecked = skipped = changed = rescored = kept = 0
         matcher = self.evaluator.matcher
         graph = self.graph
@@ -607,7 +610,7 @@ class StreamingSession:
                 ) | new_depths.ball(entry.diameter)
             old = entry.evaluated
             mask, pool_size = reverify_matches(
-                matcher, graph, old.instance, old.mask, ball
+                matcher, graph, old.instance, old.mask, ball, entry.diameter, witnesses
             )
             if pool_size:
                 rechecked += 1

@@ -365,3 +365,48 @@ def test_sparse_stream_skips_entries_outside_the_ball():
     assert counters["streaming.instances_skipped"] > 0
     assert counters["streaming.fault_recoveries"] == 0
     assert counters["streaming.budget_fallbacks"] == 0
+
+
+def test_sparse_stream_walks_each_witness_ball_once(monkeypatch):
+    """Within one update the graph is fixed, so entries sharing an output
+    pool and diameter share one witness ball: ``mask_ball`` walks each
+    distinct ``(pool, diameter)`` once, the ledger's stored diameters
+    stand in for ``instance_diameter``, and the archive still equals a
+    cold rebuild."""
+    from repro.streaming import reverify, session as session_module
+
+    options = dict(epsilon=0.1, max_domain_values=4)
+    graph, template, groups = build_sparse_bundle()
+    session = StreamingSession(graph, template, groups, **options)
+    session.generate(count=16, seed=7)
+    reference = apply_delta(graph, GraphDelta())
+    walks = []
+    mask_ball = reverify.mask_ball
+
+    def counting_mask_ball(graph, label, mask, d):
+        walks.append((label, mask, d))
+        return mask_ball(graph, label, mask, d)
+
+    def no_diameter(instance):
+        raise AssertionError("instance_diameter called during update")
+
+    shared = 0
+    deltas = list(random_delta_stream(graph, count=5, seed=19, edge_ops=3, attr_ops=1))
+    for step, delta in enumerate(deltas):
+        walks.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(reverify, "mask_ball", counting_mask_ball)
+            patch.setattr(reverify, "instance_diameter", no_diameter)
+            patch.setattr(session_module, "instance_diameter", no_diameter)
+            report = session.update(delta)
+        assert len(walks) == len(set(walks)), f"a witness ball was walked twice at step {step}"
+        shared += report.rechecked - len(walks)
+        reference = apply_delta(reference, delta)
+        cold, _ = cold_rebuild(
+            reference, template, groups, session.ledger_instances(), **options
+        )
+        assert archive_fingerprint(session.archive) == archive_fingerprint(
+            cold
+        ), f"archive drifted from cold rebuild at step {step}"
+    # Some rechecked entries shared a walk, so the reuse was exercised.
+    assert shared > 0

@@ -250,5 +250,5 @@ class TestReverify:
         apply_delta_in_place(graph, delta)
         ball = before.ball(diameter) | ball_depths(graph, touched, diameter).ball(diameter)
         matcher = SubgraphMatcher(graph)
-        repaired, _ = reverify_matches(matcher, graph, instance, old, ball)
+        repaired, _ = reverify_matches(matcher, graph, instance, old, ball, diameter)
         assert repaired == SubgraphMatcher(graph).match(instance).mask

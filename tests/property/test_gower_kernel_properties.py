@@ -7,7 +7,8 @@ int/float/str/bool/missing/unhashable values, answers of 0 to ~200 nodes
 (across the exact/decomposed threshold of 64), zero-spread numerics,
 λ ∈ {0, 0.5, 1}, every diversity mode and mixed-label answers. After
 random in-place attribute patches, the repaired columns must score like
-columns built fresh on an identical graph.
+columns built fresh on an identical graph, and a column built in one pass
+must equal one stored cell by cell.
 """
 
 import math
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.measures import DiversityMeasure
 from repro.graph.attributed_graph import AttributedGraph
-from repro.graph.gower_columns import EXOTIC as EXOTIC_CODE, MISSING
+from repro.graph.gower_columns import EXOTIC as EXOTIC_CODE, MISSING, GowerColumn
 
 SETTINGS = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -206,3 +207,47 @@ def same_partition(left, right):
         if forward.setdefault(a, b) != b or backward.setdefault(b, a) != a:
             return False
     return True
+
+
+#: Cells a column build must store as ``_store`` does: ``1``/``1.0``/
+#: ``True`` share a code, NaN and unhashables are ``EXOTIC``, ``10**400``
+#: is numeric but ``float()`` rejects it, ``-0.0`` keeps its sign bit.
+CELLS = st.one_of(
+    st.sampled_from(
+        [None, 1, 1.0, True, False, 0, -0.0, math.nan, math.inf, -math.inf,
+         10**400, -(10**400), "1", "a", "", [1], {"k": 1}, (1, 2)]
+    ),
+    st.integers(min_value=-5, max_value=5),
+    st.floats(allow_nan=True, allow_infinity=True, width=32),
+    st.text(max_size=2),
+)
+
+
+def stored_cell_by_cell(raw):
+    """The reference build: an empty column patched one cell at a time,
+    each through ``_store``."""
+    column = GowerColumn([None] * len(raw))
+    current = [None] * len(raw)
+    for position, value in enumerate(raw):
+        if value is not None:
+            column.patch(position, value, lambda: list(current))
+            current[position] = value
+    return column
+
+
+class TestColumnBuild:
+    @settings(max_examples=200, deadline=None)
+    @given(raw=st.lists(CELLS, max_size=40))
+    def test_one_pass_build_equals_cell_by_cell(self, raw):
+        built, reference = GowerColumn(raw), stored_cell_by_cell(raw)
+        for name in ("present", "numeric", "codes"):
+            left, right = getattr(built, name), getattr(reference, name)
+            assert left.dtype == right.dtype
+            assert left.tolist() == right.tolist()
+        if reference.values is None:
+            assert built.values is None
+        else:
+            assert built.values.dtype == reference.values.dtype
+            assert built.values.tobytes() == reference.values.tobytes()
+        assert (built.exotic, built.odd) == (reference.exotic, reference.odd)
+        assert built.table is None and built._code_of is None

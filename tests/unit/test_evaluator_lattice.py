@@ -1,11 +1,15 @@
 """Unit tests for the instance evaluator, configuration, and lattice."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import GenerationConfig
 from repro.core.evaluator import InstanceEvaluator
 from repro.core.lattice import InstanceLattice
+from repro.core.measures import DiversityMeasure
 from repro.errors import ConfigurationError
+from repro.graph.attributed_graph import LabelEnumeration
 from repro.query import Instantiation, QueryInstance
 from repro.query.refinement import refines, strictly_refines
 
@@ -85,6 +89,71 @@ class TestEvaluator:
         evaluator.evaluate(q)
         evaluator.reset_counters()
         assert evaluator.verified_count == 0
+
+
+class TestScoreMemo:
+    """Scores are memoized by answer mask: δ and f depend only on it."""
+
+    @pytest.fixture()
+    def delta_calls(self, monkeypatch):
+        calls = []
+        of = DiversityMeasure.of
+
+        def spy(measure, matches):
+            calls.append(matches)
+            return of(measure, matches)
+
+        monkeypatch.setattr(DiversityMeasure, "of", spy)
+        return calls
+
+    def test_repeated_answer_scored_once(
+        self, talent_config, talent_template, talent_ids, delta_calls
+    ):
+        # employees >= 50 and >= 100 keep both orgs: one answer, two instances.
+        q1 = QueryInstance(Instantiation(talent_template, {"xl1": 5, "xl2": 100, "xe1": 0}))
+        q2 = QueryInstance(Instantiation(talent_template, {"xl1": 5, "xl2": 50, "xe1": 0}))
+        enumeration = talent_config.graph.enumeration("person")
+        mask = enumeration.mask_of(talent_ids[d] for d in ("d1", "d2", "d3", "d4"))
+        fresh_delta = talent_config.build_diversity().of(mask)
+        fresh_f, fresh_feasible = talent_config.build_coverage().of_mask(enumeration, mask)
+        evaluator = InstanceEvaluator(talent_config)
+        delta_calls.clear()
+        first, second = evaluator.evaluate(q1), evaluator.evaluate(q2)
+        assert evaluator.verified_count == 2
+        assert delta_calls == [mask]
+        assert (first.instance, second.instance) == (q1, q2)
+        for evaluated in (first, second):
+            assert evaluated.mask == mask
+            assert evaluated.delta.hex() == fresh_delta.hex()
+            assert evaluated.coverage.hex() == fresh_f.hex()
+            assert evaluated.feasible == fresh_feasible
+
+    def test_memo_stays_within_the_verifier_bound(
+        self, talent_config, talent_template, delta_calls
+    ):
+        evaluator = InstanceEvaluator(replace(talent_config, verifier_max_entries=2))
+        enumeration = talent_config.graph.enumeration("person")
+        q = QueryInstance(Instantiation(talent_template, {"xl1": 5, "xl2": 100, "xe1": 0}))
+        for mask in (0b1, 0b10, 0b100, 0b1000):
+            evaluator.score(q, mask, enumeration)
+            assert len(evaluator._scored) <= 2
+        evaluator.score(q, 0b1000, enumeration)  # most recent: kept
+        evaluator.score(q, 0b1, enumeration)  # least recent: evicted
+        assert delta_calls == [0b1, 0b10, 0b100, 0b1000, 0b1]
+
+    def test_memo_cleared_when_the_enumeration_changes(
+        self, talent_config, talent_template, delta_calls
+    ):
+        evaluator = InstanceEvaluator(talent_config)
+        enumeration = talent_config.graph.enumeration("person")
+        other = LabelEnumeration("person", enumeration.ids)
+        q = QueryInstance(Instantiation(talent_template, {"xl1": 5, "xl2": 100, "xe1": 0}))
+        evaluator.score(q, 0b11, enumeration)
+        evaluator.score(q, 0b11, enumeration)
+        evaluator.score(q, 0b11, other)
+        assert len(evaluator._scored) == 1
+        evaluator.score(q, 0b11, enumeration)
+        assert delta_calls == [0b11, 0b11, 0b11]
 
 
 class TestLattice:
