@@ -179,7 +179,9 @@ class AttributedGraph:
         self._in: Dict[int, Dict[str, Set[int]]] = {}
         self._by_label: Dict[str, Set[int]] = {}
         self._edge_count = 0
-        self._edge_labels: Set[str] = set()
+        #: edge label → number of edges carrying it (a label leaves with
+        #: its last edge).
+        self._edge_label_counts: Dict[str, int] = {}
         self._frozen = False
         self._enumerations = Enumerations(self._by_label)
         self._columns: Dict[Tuple[str, str], "GowerColumn"] = {}
@@ -227,10 +229,29 @@ class AttributedGraph:
             out_by_label.add(target)
             self._in[target].setdefault(label, set()).add(source)
             self._edge_count += 1
-            self._edge_labels.add(label)
+            self._edge_label_counts[label] = self._edge_label_counts.get(label, 0) + 1
             self._ball = None
             self._indexes = None
         return Edge(source, target, label)
+
+    def copy(self) -> "AttributedGraph":
+        """A frozen graph with this graph's name, nodes, edges and
+        attributes, and none of its derived state (each piece rebuilds on
+        first use).
+
+        The copy shares the :class:`Node` objects, which the in-place
+        hooks replace rather than mutate, and nothing mutable: in-place
+        updates on either graph leave the other untouched.
+        """
+        graph = AttributedGraph(self.name)
+        graph._nodes = dict(self._nodes)
+        graph._out = {v: {k: set(e) for k, e in by.items()} for v, by in self._out.items()}
+        graph._in = {v: {k: set(e) for k, e in by.items()} for v, by in self._in.items()}
+        graph._by_label = {label: set(ids) for label, ids in self._by_label.items()}
+        graph._enumerations = Enumerations(graph._by_label)
+        graph._edge_count = self._edge_count
+        graph._edge_label_counts = dict(self._edge_label_counts)
+        return graph.freeze()
 
     def freeze(self) -> "AttributedGraph":
         """Mark the graph immutable; further mutation raises GraphError."""
@@ -315,16 +336,16 @@ class AttributedGraph:
         return self._ball
 
     # ------------------------------------------------------------------ #
-    # In-place maintenance (streaming layer only)
+    # In-place maintenance (repro.matching.delta.apply_delta_in_place only)
     # ------------------------------------------------------------------ #
     #
-    # These three methods deliberately bypass the freeze contract: the
-    # streaming session (repro.streaming) owns the graph it mutates. Each
-    # repairs the graph-owned derived state it touches before returning,
-    # so that state never goes stale; caches the caller keeps itself
-    # (verifier memos, engine-local literal pools, scores) are the
-    # caller's to repair. Nothing else should call them — algorithms keep
-    # treating graphs as immutable.
+    # These three methods deliberately bypass the freeze contract: their
+    # one caller mutates either the graph a streaming session owns or a
+    # fresh copy (``apply_delta``). Each repairs the graph-owned derived
+    # state it touches before returning, so that state never goes stale;
+    # caches the caller keeps itself (verifier memos, engine-local literal
+    # pools, scores) are the caller's to repair. Nothing else should call
+    # them — algorithms keep treating graphs as immutable.
 
     def _insert_edge_in_place(self, source: int, target: int, label: str) -> bool:
         """Add one edge on a frozen graph; returns False if it existed."""
@@ -338,17 +359,13 @@ class AttributedGraph:
         out_by_label.add(target)
         self._in[target].setdefault(label, set()).add(source)
         self._edge_count += 1
-        self._edge_labels.add(label)
+        self._edge_label_counts[label] = self._edge_label_counts.get(label, 0) + 1
         self._edge_changed(source, target, label, inserted=True)
         return True
 
     def _delete_edge_in_place(self, source: int, target: int, label: str) -> None:
         """Remove one edge on a frozen graph; raises if it does not exist.
-
-        ``edge_labels()`` may stay a superset afterwards (the label is
-        not un-registered even when its last edge goes) — label sets are
-        advisory and rebuilt on the next full index build.
-        """
+        A label whose last edge goes leaves ``edge_labels()``."""
         targets = self._out.get(source, {}).get(label)
         if targets is None or target not in targets:
             raise GraphError(f"cannot delete missing edge {(source, target, label)}")
@@ -360,6 +377,10 @@ class AttributedGraph:
         if not sources:
             del self._in[target][label]
         self._edge_count -= 1
+        if self._edge_label_counts[label] == 1:
+            del self._edge_label_counts[label]
+        else:
+            self._edge_label_counts[label] -= 1
         self._edge_changed(source, target, label, inserted=False)
 
     def _edge_changed(self, source: int, target: int, label: str, inserted: bool) -> None:
@@ -526,7 +547,7 @@ class AttributedGraph:
 
     def edge_labels(self) -> FrozenSet[str]:
         """The set of all edge labels used in the graph."""
-        return frozenset(self._edge_labels)
+        return frozenset(self._edge_label_counts)
 
     def nodes_with_label(self, label: str) -> FrozenSet[int]:
         """All node ids whose label is ``label`` (the paper's ``V(u)``)."""

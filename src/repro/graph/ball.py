@@ -23,8 +23,9 @@ the ball through one walk:
 * :class:`BallDepths` — the depth variant: one walk to the largest
   ledger diameter yields the ball of every smaller one.
 
-Node ids map to kernel positions through one id → position dict, so
-every graph gets a kernel, ids int64 cannot hold included.
+A node id's kernel position is its label's span start plus its position
+in the label's enumeration, so ids are looked up through the per-label
+dicts alone and every graph gets a kernel, ids int64 cannot hold included.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ class BallKernel:
     out-adjacency.
     """
 
-    __slots__ = ("spans", "order", "position", "offsets", "targets", "edges")
+    __slots__ = ("spans", "order", "_enumerations", "offsets", "targets", "edges")
 
     def __init__(
         self,
@@ -95,9 +96,10 @@ class BallKernel:
         #: id objects, whatever their size).
         self.order = np.empty(len(ids), dtype=object)
         self.order[:] = ids
-        #: The inverse map, node id → enumeration position.
-        self.position: Dict[int, int] = dict(zip(ids, range(len(ids))))
-        position = self.position
+        #: The graph's enumerations: their per-label id → position maps
+        #: are the kernel's inverse map (see :meth:`positions`).
+        self._enumerations = enumerations
+        position = dict(zip(ids, range(len(ids))))  # for this build only
         sources: Dict[str, List[int]] = {}
         targets: Dict[str, List[int]] = {}
         for node, by_edge_label in out.items():
@@ -127,9 +129,13 @@ class BallKernel:
         return len(self.order)
 
     def positions(self, ids) -> "np.ndarray":
-        """Enumeration positions of the known ids among ``ids`` (unknown
-        ids are dropped)."""
-        found = [p for p in map(self.position.get, ids) if p is not None]
+        """Enumeration positions of the known ids among ``ids``, grouped by
+        label (unknown ids are dropped)."""
+        ids = list(ids)
+        found: List[int] = []
+        for label, (start, _) in self.spans.items():
+            lookup = self._enumerations[label].position.get
+            found.extend(start + p for p in map(lookup, ids) if p is not None)
         return np.array(found, dtype=np.int64)
 
     def walk(
@@ -202,7 +208,7 @@ class BallKernel:
         """Repair the kernel after one edge insert/delete: recompute both
         endpoints' rows from ``neighbors`` (the mutated graph's undirected
         neighbourhood) and add or drop the edge's endpoint pair."""
-        s, t = self.position[source], self.position[target]
+        s, t = (int(self.positions((node,))[0]) for node in (source, target))
         for anchor, node in {s: source, t: target}.items():
             row = np.sort(self.positions(neighbors(node))).astype(np.int32)
             lo, hi = int(self.offsets[anchor]), int(self.offsets[anchor + 1])

@@ -324,7 +324,7 @@ class GroupSystem:
         The surgical counterpart of rebuilding the system from scratch
         with :func:`system_from_rules` on the mutated graph: only the
         attribute-updated nodes of ``receipt`` (a streaming
-        :class:`~repro.streaming.graph_ops.DeltaReceipt`) have their rule
+        :class:`~repro.matching.delta.DeltaReceipt`) have their rule
         predicates re-tested, the node→groups inverted index and the
         member sets are patched in place, and the returned
         :class:`MembershipDiff` names exactly which nodes moved where —

@@ -1,9 +1,17 @@
-"""Match maintenance under graph updates (the paper's ref [17] substrate).
+"""Graph updates and match maintenance (the paper's ref [17] substrate).
 
 RfQGen's incVerify handles *query* refinement; this module handles *data*
-change: given a verified answer ``q(G)`` and a batch of edge insertions
-and deletions, compute ``q(G ⊕ Δ)`` re-verifying only the region the
-delta can influence.
+change. :class:`GraphDelta` is a batch of edge insertions, deletions and
+attribute writes, and :func:`apply_delta_in_place` is the one code path
+that applies it: it mutates the graph through the ``_*_in_place`` hooks of
+:class:`~repro.graph.attributed_graph.AttributedGraph`, which repair the
+graph-owned derived state as they go, and returns a :class:`DeltaReceipt`.
+:func:`apply_delta` materializes ``G ⊕ Δ`` as ``graph.copy()`` followed
+by that same path, leaving ``G`` untouched.
+
+Given a verified answer ``q(G)``, :class:`IncrementalMatchMaintainer`
+computes ``q(G ⊕ Δ)`` re-verifying only the region the delta can
+influence.
 
 Locality argument: a node ``v`` matches ``u_o`` through some homomorphism
 whose entire image lies within ``d`` hops of ``v``, where ``d`` is the
@@ -17,11 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, FrozenSet, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Set, Tuple
 
 from repro.errors import GraphError
 from repro.graph.attributed_graph import AttributedGraph
-from repro.graph.builder import GraphBuilder
 from repro.graph.ball import d_hop_ball
 from repro.matching.matcher import SubgraphMatcher
 from repro.query.instance import QueryInstance
@@ -80,8 +87,7 @@ def validate_delta(graph: AttributedGraph, delta: GraphDelta) -> None:
 
     Checks every deleted edge exists and every inserted edge / attribute
     update references known nodes (silently ignoring either would mask
-    test bugs). Shared by the materializing and in-place apply paths so
-    both reject a delta *before* any state changes.
+    test bugs), so a bad delta is rejected *before* any state changes.
     """
     for key in delta.delete_edges:
         if not graph.has_edge(*key):
@@ -94,35 +100,106 @@ def validate_delta(graph: AttributedGraph, delta: GraphDelta) -> None:
             raise GraphError(f"attribute update references unknown node {node}")
 
 
-def apply_delta(graph: AttributedGraph, delta: GraphDelta) -> AttributedGraph:
-    """Materialize ``G ⊕ Δ`` as a new frozen graph.
+@dataclass(frozen=True)
+class DeltaReceipt:
+    """What an in-place application actually changed.
 
-    Deletions are applied before insertions (an edge listed in both ends
-    up present), then attribute updates with last-wins semantics per
-    (node, attribute). Raises :class:`GraphError` on an inapplicable
-    delta — see :func:`validate_delta`.
+    The repair substrate consumes this: touched nodes drive adjacency-row
+    and score invalidation, touched (label, attribute) pairs drive
+    attribute-table and literal-mask invalidation.
+
+    Attributes:
+        delta: The delta that was applied.
+        touched_nodes: Endpoints of inserted/deleted edges plus
+            attribute-updated nodes.
+        touched_attributes: Distinct (node label, attribute name) pairs
+            whose values changed.
+        edges_inserted: Edges actually added (an insert of a present edge
+            is idempotent and not counted).
+        edges_deleted: Edges removed.
+        attributes_set: Attribute triples applied (post-coalescing count).
+    """
+
+    delta: GraphDelta
+    touched_nodes: FrozenSet[int]
+    touched_attributes: Tuple[Tuple[str, str], ...]
+    edges_inserted: int
+    edges_deleted: int
+    attributes_set: int
+
+
+def apply_delta_in_place(graph: AttributedGraph, delta: GraphDelta) -> DeltaReceipt:
+    """Mutate ``graph`` into ``G ⊕ Δ``; return the :class:`DeltaReceipt`.
+
+    Validates first (:func:`validate_delta` — no partial application on a
+    bad delta), then applies deletions before insertions (an edge listed
+    in both ends up present) and attribute updates last-wins per (node,
+    attribute). Each hook call also repairs the graph-owned derived state
+    in place (ball kernel, Gower columns, indexes, literal-mask memo,
+    active domains, label attribute names), so no separate invalidation
+    step exists — or is needed — here.
     """
     validate_delta(graph, delta)
-    deletions = set(delta.delete_edges)
-    attrs = {node: None for node, _, _ in delta.set_attributes}
-    for node in attrs:
-        attrs[node] = dict(graph.attributes(node))
-    for node, name, value in delta.set_attributes:
-        if value is None:
-            attrs[node].pop(name, None)
-        else:
-            attrs[node][name] = value
 
-    builder = GraphBuilder(graph.name)
-    for node in graph.nodes():
-        attributes = attrs.get(node.node_id, node.attributes)
-        builder.node_with_id(node.node_id, node.label, **dict(attributes))
-    for edge in graph.edges():
-        if edge.key not in deletions:
-            builder.edge(edge.source, edge.target, edge.label)
+    deleted = 0
+    for source, target, label in delta.delete_edges:
+        graph._delete_edge_in_place(source, target, label)
+        deleted += 1
+    inserted = 0
     for source, target, label in delta.insert_edges:
-        builder.edge(source, target, label)
-    return builder.build()
+        if graph._insert_edge_in_place(source, target, label):
+            inserted += 1
+
+    # Coalesce duplicate (node, attribute) triples to their last value so
+    # the graph sees one write per pair — same result, and the receipt's
+    # attributes_set matches what actually changed.
+    final_values: Dict[Tuple[int, str], Any] = {}
+    for node, name, value in delta.set_attributes:
+        final_values[(node, name)] = value
+    pairs: List[Tuple[str, str]] = []
+    seen_pairs: Set[Tuple[str, str]] = set()
+    for (node, name), value in final_values.items():
+        graph._set_attribute_in_place(node, name, value)
+        pair = (graph.label(node), name)
+        if pair not in seen_pairs:
+            seen_pairs.add(pair)
+            pairs.append(pair)
+
+    return DeltaReceipt(
+        delta=delta,
+        touched_nodes=delta.touched_nodes,
+        touched_attributes=tuple(pairs),
+        edges_inserted=inserted,
+        edges_deleted=deleted,
+        attributes_set=len(final_values),
+    )
+
+
+def apply_delta(graph: AttributedGraph, delta: GraphDelta) -> AttributedGraph:
+    """Materialize ``G ⊕ Δ`` as a new frozen graph; ``graph`` is untouched.
+
+    A :meth:`~repro.graph.attributed_graph.AttributedGraph.copy` (which
+    carries no derived state) mutated by :func:`apply_delta_in_place`.
+    Raises :class:`GraphError` on an inapplicable delta.
+    """
+    copy = graph.copy()
+    apply_delta_in_place(copy, delta)
+    return copy
+
+
+def graph_signature(graph: AttributedGraph) -> Tuple[Any, ...]:
+    """A canonical, order-independent fingerprint of a graph's content.
+
+    Two graphs have equal signatures iff they agree on nodes (id, label,
+    attribute map) and edges (source, target, label). Attribute maps and
+    edge multisets are sorted, so insertion order never leaks in.
+    """
+    nodes = tuple(
+        (node.node_id, node.label, tuple(sorted(node.attributes.items())))
+        for node in sorted(graph.nodes(), key=lambda n: n.node_id)
+    )
+    edges = tuple(sorted(edge.key for edge in graph.edges()))
+    return (nodes, edges)
 
 
 def invert_delta(graph: AttributedGraph, delta: GraphDelta) -> GraphDelta:
@@ -164,10 +241,13 @@ def invert_delta(graph: AttributedGraph, delta: GraphDelta) -> GraphDelta:
 class IncrementalMatchMaintainer:
     """Maintains ``q(G)`` across deltas for one query instance.
 
-    Each :meth:`apply` materializes ``G ⊕ Δ`` and repairs the answer with
+    Each :meth:`apply` materializes ``G ⊕ Δ`` with :func:`apply_delta`
+    (a copy updated by the in-place path, so the old graph stays intact
+    for the old-side ball) and repairs the answer with
     :func:`~repro.streaming.reverify.reverify_matches` over the two-sided
     ball of the touched nodes — the streaming session's repair, for one
-    instance and without scoring.
+    instance and without scoring. An empty delta returns the current
+    graph object.
 
     Example:
         >>> maintainer = IncrementalMatchMaintainer(graph, instance)

@@ -11,27 +11,26 @@ service answers for, checks that configs are built against it, and counts
 its changes.
 
 Invalidation: graphs themselves are immutable (``freeze()``), so cached
-state never silently goes stale. :meth:`GraphContext.apply_delta`
-materializes ``G ⊕ Δ`` via :func:`repro.matching.delta.apply_delta` and
-swaps in the new graph; :meth:`GraphContext.invalidate` drops the graph's
-derived state (bumping ``generation`` so stale references are
-detectable); :meth:`GraphContext.apply_delta_in_place` mutates the graph,
-whose in-place hooks repair its derived state. Run-level state —
+state never silently goes stale. Both update methods run the one update
+path, :func:`repro.matching.delta.apply_delta_in_place`:
+:meth:`GraphContext.apply_delta` runs it on a copy
+(:func:`repro.matching.delta.apply_delta`) and swaps the copy in;
+:meth:`GraphContext.apply_delta_in_place` mutates the served graph, whose
+in-place hooks repair its derived state. :meth:`GraphContext.invalidate`
+drops the graph's derived state (bumping ``generation`` so stale
+references are detectable). Run-level state —
 per-run ε-Pareto archives (:mod:`repro.core.update`) and verifier memos —
 is never shared here, so nothing of it can leak across an invalidation.
 """
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (streaming → here)
-    from repro.streaming.graph_ops import DeltaReceipt
+from typing import Optional
 
 from repro.core.config import GenerationConfig
 from repro.errors import ServiceError
 from repro.graph.attributed_graph import AttributedGraph
-from repro.matching.delta import GraphDelta, apply_delta
+from repro.matching.delta import DeltaReceipt, GraphDelta, apply_delta, apply_delta_in_place
 from repro.obs.registry import MetricsRegistry
 
 
@@ -148,16 +147,17 @@ class GraphContext:
         self._graph.clear_caches()
 
     def apply_delta(self, delta: GraphDelta) -> AttributedGraph:
-        """Serve ``G ⊕ Δ``: materialize the delta, swap, invalidate.
+        """Serve ``G ⊕ Δ``: update a copy of the graph, swap, invalidate.
 
-        Returns the new graph so callers can rebuild their configs
+        The old graph object is left untouched, so runs in flight keep
+        it. Returns the new graph so callers can rebuild their configs
         against it.
         """
         self._graph = apply_delta(self._graph, delta)
         self.invalidate()
         return self._graph
 
-    def apply_delta_in_place(self, delta: GraphDelta) -> "DeltaReceipt":
+    def apply_delta_in_place(self, delta: GraphDelta) -> DeltaReceipt:
         """Serve ``G ⊕ Δ`` without rebuilding: mutate, keep identity.
 
         The streaming fast path. The served graph object is mutated in
@@ -168,11 +168,9 @@ class GraphContext:
         pairs, active domains, the ball kernel and the Gower columns.
         ``generation`` is untouched; :attr:`revision` records the
         mutation. Returns the
-        :class:`~repro.streaming.graph_ops.DeltaReceipt` describing what
+        :class:`~repro.matching.delta.DeltaReceipt` describing what
         changed, for the caller's own repair (verifier memos, scores).
         """
-        from repro.streaming.graph_ops import apply_delta_in_place
-
         receipt = apply_delta_in_place(self._graph, delta)
         self._revision += 1
         self.metrics.inc("service.context.inplace_deltas")

@@ -52,7 +52,7 @@ from repro.groups.system import (
     GroupSystem,
     MembershipDiff,
 )
-from repro.matching.delta import GraphDelta
+from repro.matching.delta import DeltaReceipt, GraphDelta
 from repro.obs.registry import MetricsRegistry
 from repro.query.instance import QueryInstance
 from repro.runtime.budget import (
@@ -64,7 +64,6 @@ from repro.runtime.budget import (
 from repro.runtime.faults import FaultInjectionError, FaultInjector
 from repro.service.context import GraphContext
 from repro.streaming.events import GenerateEvent, OfferEvent, UpdateEvent
-from repro.streaming.graph_ops import DeltaReceipt
 from repro.streaming.reverify import instance_diameter, reverify_matches
 from repro.workload.stream import random_instance_stream
 

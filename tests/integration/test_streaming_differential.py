@@ -3,7 +3,8 @@
 The streaming session's contract: after every applied delta, its graph,
 ledger evaluations and ε-Pareto archive are *byte-identical* to what a
 cold rebuild would produce — materialize ``G ⊕ Δ₁ ⊕ … ⊕ Δₜ`` from
-scratch, build a fresh context/evaluator, evaluate the ledger instances
+scratch (through the builder, :func:`tests.rebuild.rebuild_with_delta`,
+which shares no code with the in-place update path), build a fresh context/evaluator, evaluate the ledger instances
 in order, offer the feasible ones. The suite pins that equality for
 both AC-3 paths of the live session's matcher (every constraint swept over
 the ball kernel's edge arrays, which the in-place edge hooks splice, or
@@ -37,6 +38,7 @@ from repro.service.context import GraphContext
 from repro.streaming import StreamingSession, graph_signature
 from repro.workload import random_delta_stream
 from tests.ac3 import LAYOUT_IDS, forced
+from tests.rebuild import rebuild_with_delta
 
 #: (AC-3 path of the live session, delta scoring).
 CONFIG_GRID = [
@@ -162,7 +164,7 @@ class TestStreamingDifferential:
         )
         for step, delta in enumerate(deltas):
             session.update(delta)
-            reference = apply_delta(reference, delta)
+            reference = rebuild_with_delta(reference, delta)
             assert graph_signature(session.graph) == graph_signature(reference), (
                 f"graph drifted from materialized reference at step {step}"
             )
@@ -214,7 +216,7 @@ class TestStreamingDifferential:
         )
         for step, delta in enumerate(deltas):
             session.update(delta)
-            reference = apply_delta(reference, delta)
+            reference = rebuild_with_delta(reference, delta)
             session.generate(count=6, seed=100 + step)
             cold, _ = cold_rebuild(
                 reference, template, groups, session.ledger_instances(), **options
@@ -243,7 +245,7 @@ class TestStreamingDifferential:
         for step, delta in enumerate(deltas):
             report = session.update(delta)
             moves += report.membership_moves
-            reference = apply_delta(reference, delta)
+            reference = rebuild_with_delta(reference, delta)
             assert graph_signature(session.graph) == graph_signature(reference)
             ref_groups = system_from_rules(reference, MEMBERSHIP_RULES, clamp=True)
             cold, evaluations = cold_rebuild(
@@ -353,7 +355,7 @@ def test_sparse_stream_skips_entries_outside_the_ball():
     for step, delta in enumerate(deltas):
         assert len(delta.touched_nodes) < 0.01 * graph.num_nodes
         session.update(delta)
-        reference = apply_delta(reference, delta)
+        reference = rebuild_with_delta(reference, delta)
         cold, _ = cold_rebuild(
             reference, template, groups, session.ledger_instances(), **options
         )
@@ -401,7 +403,7 @@ def test_sparse_stream_walks_each_witness_ball_once(monkeypatch):
             report = session.update(delta)
         assert len(walks) == len(set(walks)), f"a witness ball was walked twice at step {step}"
         shared += report.rechecked - len(walks)
-        reference = apply_delta(reference, delta)
+        reference = rebuild_with_delta(reference, delta)
         cold, _ = cold_rebuild(
             reference, template, groups, session.ledger_instances(), **options
         )

@@ -23,10 +23,9 @@ from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.attributed_graph import Enumerations
 from repro.graph.ball import BallKernel, ball_depths, d_hop_ball
 from repro.graph.indexes import BitsetIndex
-from repro.matching.delta import GraphDelta
+from repro.matching.delta import GraphDelta, apply_delta_in_place
 from repro.matching.matcher import SubgraphMatcher
 from repro.query import Instantiation, Op, QueryInstance, QueryTemplate
-from repro.streaming.graph_ops import apply_delta_in_place
 from repro.streaming.reverify import instance_diameter, reverify_matches
 
 SETTINGS = settings(

@@ -22,8 +22,7 @@ from repro.core.measures import CoverageMeasure, DiversityMeasure, WeightedCover
 from repro.core.relevance import ConstantRelevance
 from repro.graph.attributed_graph import AttributedGraph
 from repro.groups.system import GroupRule, GroupSystem, NodeGroup, system_from_rules
-from repro.matching.delta import GraphDelta
-from repro.streaming.graph_ops import apply_delta_in_place
+from repro.matching.delta import GraphDelta, apply_delta_in_place
 
 SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]

@@ -10,7 +10,9 @@ Three algebraic laws lock the update semantics down:
 * **No-op** — the empty delta changes nothing and increments nothing.
 
 Plus the foundational differential: in-place application is extensionally
-equal to materializing application, for every generated delta — the
+equal (content and edge labels) to a rebuild through the builder
+(:func:`tests.rebuild.rebuild_with_delta`, the reference implementation
+that shares no code with the in-place path), for every generated delta — the
 session's per-attribute carrier refcounts (the O(|Δ|) replacement for the
 kernel-universe drift rescan) always equal a fresh full scan, and the
 adjacency rows the shared bitset index keeps across deltas (repaired by
@@ -30,6 +32,7 @@ from repro.streaming import (
     graph_signature,
 )
 from repro.workload import random_delta_stream
+from tests.rebuild import rebuild_with_delta
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -58,11 +61,11 @@ def build_small_graph(node_values, edges):
 
 
 @st.composite
-def graph_and_delta(draw, with_attrs=True):
+def graph_and_delta(draw, with_attrs=True, labels=("e",)):
     """A small frozen graph plus an applicable delta."""
     n = draw(st.integers(min_value=3, max_value=8))
     values = [draw(st.integers(min_value=0, max_value=4)) for _ in range(n)]
-    possible = [(i, j, "e") for i in range(n) for j in range(n) if i != j]
+    possible = [(i, j, label) for i in range(n) for j in range(n) if i != j for label in labels]
     present = draw(st.lists(st.sampled_from(possible), max_size=14, unique=True))
     graph = build_small_graph(values, present)
 
@@ -111,12 +114,13 @@ def archive_fingerprint(archive):
 
 class TestInPlaceEquivalence:
     @SETTINGS
-    @given(setup=graph_and_delta())
+    @given(setup=graph_and_delta(labels=("e", "f")))
     def test_in_place_equals_materializing(self, setup):
         graph, delta = setup
-        materialized = apply_delta(graph, delta)
+        rebuilt = rebuild_with_delta(graph, delta)
         receipt = apply_delta_in_place(graph, delta)
-        assert graph_signature(graph) == graph_signature(materialized)
+        assert graph_signature(graph) == graph_signature(rebuilt)
+        assert graph.edge_labels() == rebuilt.edge_labels()
         assert receipt.touched_nodes == delta.touched_nodes
 
 

@@ -9,8 +9,7 @@ import pytest
 from repro.graph.attributed_graph import AttributedGraph, Enumerations
 from repro.graph.ball import BallKernel, d_hop_ball, mask_ball, mask_positions
 from repro.graph.builder import GraphBuilder
-from repro.matching.delta import GraphDelta
-from repro.streaming.graph_ops import apply_delta_in_place
+from repro.matching.delta import GraphDelta, apply_delta_in_place
 
 
 @pytest.fixture(scope="module")

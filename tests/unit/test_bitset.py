@@ -13,10 +13,9 @@ from repro.matching import (
     naive_match_set,
 )
 from repro.matching.bitset import iter_bits
-from repro.matching.delta import GraphDelta
+from repro.matching.delta import GraphDelta, apply_delta_in_place
 from repro.obs import MetricsRegistry
 from repro.query import Instantiation, Literal, Op, QueryInstance
-from repro.streaming.graph_ops import apply_delta_in_place
 from tests.ac3 import forced
 
 

@@ -22,10 +22,9 @@ from repro.graph.builder import GraphBuilder
 from repro.graph.gower_columns import EXOTIC, MISSING, GowerColumn
 from repro.graph.indexes import BitsetIndex, GraphIndexes
 from repro.matching.bitset import LiteralPoolCache
-from repro.matching.delta import GraphDelta
+from repro.matching.delta import GraphDelta, apply_delta_in_place
 from repro.obs import MetricsRegistry
 from repro.query.predicates import Literal, Op
-from repro.streaming.graph_ops import apply_delta_in_place
 
 
 def sample_graph():

@@ -8,6 +8,8 @@ from repro.matching.delta import (
     GraphDelta,
     IncrementalMatchMaintainer,
     apply_delta,
+    apply_delta_in_place,
+    graph_signature,
     invert_delta,
     validate_delta,
 )
@@ -97,6 +99,90 @@ class TestApplyDelta:
             chain_graph,
             GraphDelta(insert_edges=((3, 0, "e"),), delete_edges=((0, 1, "e"),)),
         )
+
+
+class TestEdgeLabels:
+    def test_deleting_last_edge_of_a_label_drops_the_label(self, chain_graph):
+        graph = apply_delta(chain_graph, GraphDelta(insert_edges=((3, 0, "f"),)))
+        assert graph.edge_labels() == {"e", "f"}
+        delete = GraphDelta(delete_edges=((3, 0, "f"),))
+        assert apply_delta(graph, delete).edge_labels() == {"e"}
+        apply_delta_in_place(graph, delete)
+        assert graph.edge_labels() == {"e"}
+        apply_delta_in_place(graph, GraphDelta(delete_edges=((0, 1, "e"), (1, 2, "e"))))
+        assert graph.edge_labels() == {"e"}
+        apply_delta_in_place(graph, GraphDelta(delete_edges=((2, 3, "e"),)))
+        assert graph.edge_labels() == frozenset()
+
+
+def warm(graph):
+    """Build every piece of ``graph``'s derived state."""
+    graph.indexes().bitsets.adjacency_row(1, "e", True, "a")
+    graph.indexes().attributes.matching_nodes("a", "x", Op.GE, 1)
+    graph.ball_kernel()
+    graph.gower_column("a", "x")
+    graph.active_domain("x", "a")
+    graph.label_attribute_names("a")
+
+
+def kernel_state(kernel):
+    return (
+        kernel.offsets.tolist(),
+        kernel.targets.tolist(),
+        {label: (s.tolist(), t.tolist()) for label, (s, t) in kernel.edges.items()},
+    )
+
+
+class TestCopy:
+    def test_fresh_copy_holds_content_and_no_derived_state(self, chain_graph):
+        warm(chain_graph)
+        for copy in (chain_graph.copy(), apply_delta(chain_graph, GraphDelta())):
+            assert copy is not chain_graph
+            assert copy.name == chain_graph.name
+            assert graph_signature(copy) == graph_signature(chain_graph)
+            assert copy.edge_labels() == chain_graph.edge_labels()
+            assert copy.num_edges == chain_graph.num_edges
+            assert copy._indexes is None and copy._ball is None
+            assert not copy._enumerations and not copy._columns
+            assert not copy._domains and not copy._label_attributes
+            with pytest.raises(GraphError):
+                copy.add_node(99, "a")
+
+    def test_in_place_deltas_on_a_copy_leave_the_original(self, chain_graph):
+        warm(chain_graph)
+        signature = graph_signature(chain_graph)
+        indexes = chain_graph.indexes()
+        kernel = chain_graph.ball_kernel()
+        column = chain_graph.gower_column("a", "x")
+
+        def derived_state():
+            return (
+                kernel_state(kernel),
+                column.codes.tolist(),
+                indexes.bitsets.cached_rows,
+                indexes.bitsets.adjacency_row(1, "e", True, "a"),
+                indexes.attributes.matching_nodes("a", "x", Op.GE, 1),
+                chain_graph.active_domain("x", "a"),
+            )
+
+        before = derived_state()
+        copy = chain_graph.copy()
+        warm(copy)
+        apply_delta_in_place(
+            copy,
+            GraphDelta(
+                insert_edges=((3, 0, "f"),),
+                delete_edges=((0, 1, "e"), (1, 2, "e"), (2, 3, "e")),
+                set_attributes=((1, "x", 9), (2, "x", None)),
+            ),
+        )
+        assert copy.edge_labels() == {"f"}
+        assert graph_signature(chain_graph) == signature
+        assert chain_graph.edge_labels() == {"e"}
+        assert chain_graph.indexes() is indexes
+        assert chain_graph.ball_kernel() is kernel
+        assert chain_graph.gower_column("a", "x") is column
+        assert derived_state() == before
 
 
 class TestInvertDelta:

@@ -8,11 +8,10 @@ from repro.graph.builder import GraphBuilder
 from repro.graph.indexes import AttributeIndex, GraphIndexes
 from repro.matching import SubgraphMatcher, naive_match_set
 from repro.matching.bitset import LiteralPoolCache
-from repro.matching.delta import GraphDelta
+from repro.matching.delta import GraphDelta, apply_delta_in_place
 from repro.obs import MetricsRegistry
 from repro.query import Instantiation, QueryInstance, QueryTemplate
 from repro.query.predicates import Literal, Op
-from repro.streaming.graph_ops import apply_delta_in_place
 
 
 @pytest.fixture(scope="module")

@@ -12,10 +12,9 @@ from repro.errors import ServiceError
 from repro.graph import indexes as indexes_module
 from repro.graph.indexes import LITERAL_MASK_ENTRIES, GraphIndexes
 from repro.matching.bitset import LiteralPoolCache
-from repro.matching.delta import GraphDelta, apply_delta
+from repro.matching.delta import GraphDelta, apply_delta, apply_delta_in_place
 from repro.obs.registry import MetricsRegistry
 from repro.query.predicates import Literal, Op
-from repro.streaming.graph_ops import apply_delta_in_place
 from repro.service import (
     BatchScheduler,
     GenerationRequest,
