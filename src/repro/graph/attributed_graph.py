@@ -269,8 +269,9 @@ class AttributedGraph:
     # Everything below is a pure function of the graph, built on first
     # use and shared by every config, matcher, measure and serving context
     # on this graph: the per-label enumerations, the indexes (attribute
-    # tables, adjacency rows, literal masks), active domains, per-label
-    # attribute names, the Gower columns and the ball kernel.
+    # tables, adjacency rows, literal masks, AC-3 supports), active
+    # domains, per-label attribute names, the Gower columns and the ball
+    # kernel.
     # ``add_node`` drops all of it, ``add_edge`` what depends on edges,
     # and the in-place hooks below repair it. None of it refers back to
     # the graph object itself.
@@ -385,11 +386,12 @@ class AttributedGraph:
 
     def _edge_changed(self, source: int, target: int, label: str, inserted: bool) -> None:
         """Repair the edge-derived state: splice the ball kernel, drop the
-        endpoints' adjacency rows."""
+        endpoints' adjacency rows and the AC-3 supports over ``label``."""
         if self._ball is not None:
             self._ball.splice_edge(source, target, label, inserted, self.neighbors)
         if self._indexes is not None:
             self._indexes.bitsets.drop_rows((source, target))
+            self._indexes.supports.drop_edge_label(label)
 
     def _set_attribute_in_place(
         self, node_id: int, name: str, value: Optional[AttrValue]

@@ -13,7 +13,8 @@ table per ``(label, edge label, direction, neighbor label)`` relation —
 which is the substrate of the bitset matching engine
 (:mod:`repro.matching.bitset`): candidate pools become integer bitmasks
 and support checks become single AND operations. :class:`LiteralMasks`
-memoizes literal masks over those enumerations.
+memoizes literal masks over those enumerations, and :class:`SupportMemo`
+the AC-3 supports of query-edge constraints.
 
 Every graph owns one :class:`GraphIndexes`
 (:meth:`~repro.graph.attributed_graph.AttributedGraph.indexes`), which its
@@ -37,6 +38,8 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 
 #: LRU bound of a graph's :class:`LiteralMasks` memo.
 LITERAL_MASK_ENTRIES = 4096
+#: LRU bound of a graph's :class:`SupportMemo`.
+SUPPORT_MEMO_ENTRIES = 4096
 
 
 class AttributeIndex:
@@ -285,7 +288,53 @@ class BitsetIndex:
         return sum(len(table) - table.count(None) for table in self._rows.values())
 
 
-class LiteralMasks:
+class _GroupedLRU:
+    """An LRU memo behind one lock, its keys grouped for bulk repair.
+
+    Engines on several threads share a graph's memos, so every read and
+    write holds the lock. ``_group(key)`` names the group a key belongs
+    to, so a graph hook can reach exactly the keys an update touches.
+    """
+
+    def __init__(self, max_entries: int) -> None:
+        self._max_entries = max_entries
+        self._lock = threading.Lock()
+        self._entries: "OrderedDict[Tuple, Any]" = OrderedDict()
+        self._groups: Dict[Any, Set[Tuple]] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    @staticmethod
+    def _group(key: Tuple) -> Any:  # pragma: no cover - overridden
+        raise NotImplementedError
+
+    def lookup(self, key: Tuple) -> Any:
+        """The memoized value of ``key`` (None when absent), refreshed as
+        most recently used."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+            return value
+
+    def store(self, key: Tuple, value: Any) -> None:
+        """Memoize ``value``, evicting the least recently used key when full."""
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+            else:
+                self._groups.setdefault(self._group(key), set()).add(key)
+            self._entries[key] = value
+            if len(self._entries) > self._max_entries:
+                evicted, _ = self._entries.popitem(last=False)
+                group = self._groups[self._group(evicted)]
+                group.discard(evicted)
+                if not group:
+                    del self._groups[self._group(evicted)]
+
+
+class LiteralMasks(_GroupedLRU):
     """Bounded memo ``(label, attribute, op, constant) → candidate mask``.
 
     Masks are over the :class:`BitsetIndex` enumerations of the same
@@ -294,43 +343,18 @@ class LiteralMasks:
     :class:`~repro.matching.bitset.LiteralPoolCache` miss is served from
     here before it computes. The key space is open-ended (every template
     and domain value ever served), so the memo is an LRU bounded by
-    :data:`LITERAL_MASK_ENTRIES`. Engines on several threads share it, so
-    every read and write holds one lock. An in-place attribute update
+    :data:`LITERAL_MASK_ENTRIES`. An in-place attribute update
     repairs the touched node's bit in the masks of the touched pair
     (:meth:`repair`); edge updates never change a literal mask.
     """
 
     def __init__(self, bitsets: BitsetIndex) -> None:
+        super().__init__(LITERAL_MASK_ENTRIES)
         self._bitsets = bitsets
-        self._lock = threading.Lock()
-        self._masks: "OrderedDict[Tuple, int]" = OrderedDict()
-        self._by_pair: Dict[Tuple[str, str], Set[Tuple]] = {}
 
-    def __len__(self) -> int:
-        return len(self._masks)
-
-    def lookup(self, key: Tuple) -> Optional[int]:
-        """The memoized mask of ``key``, refreshed as most recently used."""
-        with self._lock:
-            mask = self._masks.get(key)
-            if mask is not None:
-                self._masks.move_to_end(key)
-            return mask
-
-    def store(self, key: Tuple, mask: int) -> None:
-        """Memoize ``mask``, evicting the least recently used key when full."""
-        with self._lock:
-            if key in self._masks:
-                self._masks.move_to_end(key)
-            else:
-                self._by_pair.setdefault(key[:2], set()).add(key)
-            self._masks[key] = mask
-            if len(self._masks) > LITERAL_MASK_ENTRIES:
-                evicted, _ = self._masks.popitem(last=False)
-                pair = self._by_pair[evicted[:2]]
-                pair.discard(evicted)
-                if not pair:
-                    del self._by_pair[evicted[:2]]
+    @staticmethod
+    def _group(key: Tuple) -> Tuple[str, str]:
+        return key[:2]
 
     def repair(self, label: str, attribute: str, node_id: int, value: Any) -> int:
         """Re-test ``node_id``'s bit in every memoized mask over
@@ -340,15 +364,50 @@ class LiteralMasks:
         many masks were repaired.
         """
         with self._lock:
-            keys = self._by_pair.get((label, attribute))
+            keys = self._groups.get((label, attribute))
             if not keys:
                 return 0
             bit = 1 << self._bitsets.positions(label)[node_id]
             for key in keys:
                 if key[2].evaluate(value, key[3]):
-                    self._masks[key] |= bit
+                    self._entries[key] |= bit
                 else:
-                    self._masks[key] &= ~bit
+                    self._entries[key] &= ~bit
+            return len(keys)
+
+
+class SupportMemo(_GroupedLRU):
+    """Bounded memo of AC-3 supports, ``relation + (neighbor pool,) →
+    (known, support)``.
+
+    A relation is ``(label, edge label, outgoing, neighbor label)`` and the
+    neighbor pool a mask over the neighbor label's enumeration. Its
+    support — the ``label`` nodes with an ``edge label`` edge to
+    (``outgoing``) or from a node of the pool — depends only on the
+    graph's edges of that label, so every engine matching against one
+    graph reuses it. ``known`` masks the candidates whose support bit is
+    settled (``-1`` after a whole-support sweep, the probed candidates
+    after row probes) and ``support`` is exact on ``known`` and 0 outside
+    it; the matcher fills a partial entry's unknown bits as candidates
+    reach them (:meth:`~repro.matching.bitset.BitsetEngine._propagate`).
+    The LRU bound is :data:`SUPPORT_MEMO_ENTRIES`. An in-place edge update
+    drops the entries over its edge label (:meth:`drop_edge_label`);
+    attribute updates never change a support.
+    """
+
+    def __init__(self) -> None:
+        super().__init__(SUPPORT_MEMO_ENTRIES)
+
+    @staticmethod
+    def _group(key: Tuple) -> str:
+        return key[1]
+
+    def drop_edge_label(self, edge_label: str) -> int:
+        """Drop every entry over ``edge_label``; returns the drop count."""
+        with self._lock:
+            keys = self._groups.pop(edge_label, ())
+            for key in keys:
+                del self._entries[key]
             return len(keys)
 
 
@@ -360,11 +419,12 @@ class GraphIndexes:
     every config, matcher and serving context on that graph, so index
     construction is paid once per graph, not once per run. The graph's
     in-place hooks repair it: an edge update drops the endpoints'
-    adjacency rows, an attribute update drops the pair's sorted table and
-    repairs its literal masks. The label enumerations it reads are the
-    graph's and describe the node set, which in-place updates never
-    change. A bundle built directly with ``GraphIndexes(graph)`` is private to its
-    caller and is not repaired.
+    adjacency rows and the supports over its edge label, an attribute
+    update drops the pair's sorted table and repairs its literal masks.
+    The label enumerations it reads are the graph's and describe the node
+    set, which in-place updates never change. A bundle built directly
+    with ``GraphIndexes(graph)`` is private to its caller and is not
+    repaired.
     """
 
     def __init__(self, graph: "AttributedGraph") -> None:
@@ -372,6 +432,7 @@ class GraphIndexes:
         self.attributes = AttributeIndex(graph)
         self.bitsets = BitsetIndex(graph)
         self.literal_masks = LiteralMasks(self.bitsets)
+        self.supports = SupportMemo()
 
     def warm(self, labels: Optional[Iterable[str]] = None) -> None:
         """Pre-build the cheap per-label state (serving cold-start cut).

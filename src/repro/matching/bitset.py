@@ -14,19 +14,24 @@ the three hot loops of instance verification become bit-parallel:
   served from the graph's own memo
   (:class:`~repro.graph.indexes.LiteralMasks`), so masks computed by one
   run are reused by every later run over the same graph;
-* **arc-consistency support checks** — per query-edge constraint and
-  pool size, one of two exact ways: a large pool takes the constraint's
-  whole support set in one numpy sweep over the graph's edge arrays
-  (:meth:`~repro.graph.ball.BallKernel.support`), a small one probes
-  ``adjacency_row(v) & pool != 0`` per candidate, with the relation's row
-  table fetched once (:meth:`~repro.graph.indexes.BitsetIndex.relation`),
-  so a probe is one list read plus one AND (:data:`SWEEP_CROSSOVER`);
+* **arc-consistency support checks** — a constraint's support depends
+  only on the graph's edges, the relation and the neighbor pool, so it
+  is read from the graph's memo
+  (:class:`~repro.graph.indexes.SupportMemo`), shared by every run on
+  the graph. Only the candidates the memo does not cover yet are
+  computed, in one of two exact ways chosen by their number: many take
+  the constraint's whole support set in one numpy sweep over the graph's
+  edge arrays (:meth:`~repro.graph.ball.BallKernel.support`), few probe
+  ``adjacency_row(v) & pool != 0`` each, with the relation's row table
+  fetched once (:meth:`~repro.graph.indexes.BitsetIndex.relation`), so a
+  probe is one list read plus one AND (:data:`SWEEP_CROSSOVER`);
 * **backtracking extension** — the candidates of the next query node are
   the AND of its pool with the already-assigned neighbors' adjacency rows,
   which also subsumes the per-edge consistency re-check.
 
 The engine publishes its work under ``matcher.bitset.*`` (literal-pool
-hits/misses/shared hits, mask intersections, support sweeps) on top of the shared
+hits/misses/shared hits, mask intersections, support sweeps and memo
+hits) on top of the shared
 ``matcher.*`` counters, and returns :class:`MatchResult` objects carrying only the
 candidate *masks*: the incremental verifier seeds a child's pools from
 them directly, and the per-node id sets are built only when a caller
@@ -66,10 +71,11 @@ CandidateMap = Dict[str, Set[int]]
 Relation = Tuple[str, str, bool, str]
 
 #: AC-3 crossover: a constraint over an edge label with ``m`` edges is
-#: swept when the pool holds at least ``SWEEP_CROSSOVER * (m + 2048)``
-#: candidates (m/32 + 64), and probed row by row below that. A sweep
-#: costs O(|V| + m) whatever the pool; a probe costs one row per candidate.
-#: 0 always sweeps and a huge value always probes.
+#: swept when the candidates whose support the memo does not know yet
+#: number at least ``SWEEP_CROSSOVER * (m + 2048)`` (m/32 + 64), and
+#: those are probed row by row below that. A sweep costs O(|V| + m)
+#: whatever the pool and settles every candidate; a probe costs one row
+#: per candidate. 0 always sweeps and a huge value always probes.
 SWEEP_CROSSOVER = 1 / 32
 
 
@@ -325,12 +331,13 @@ class LiteralPoolCache:
 class _Work:
     """Mutable per-call work tally, folded into counters once per match."""
 
-    __slots__ = ("backtracks", "intersections", "sweeps")
+    __slots__ = ("backtracks", "intersections", "sweeps", "memo_hits")
 
     def __init__(self) -> None:
         self.backtracks = 0
         self.intersections = 0
         self.sweeps = 0
+        self.memo_hits = 0
 
 
 class BitsetEngine:
@@ -381,6 +388,7 @@ class BitsetEngine:
             "matcher.acyclic_fast_paths",
             "matcher.bitset.mask_intersections",
             "matcher.bitset.support_sweeps",
+            "matcher.bitset.support_memo_hits",
         ):
             self.metrics.counter(name)
 
@@ -516,18 +524,23 @@ class BitsetEngine:
 
         A candidate ``v`` of ``u`` survives iff, for every query edge at
         ``u``, ``v``'s adjacency row toward the neighbor's label meets the
-        neighbor's pool. A swept constraint computes that predicate for
-        every node at once (its support set, memoized on the neighbor pool
-        within the call), so survivors, removals and re-queues are the same
-        whichever path each constraint takes. The worklist is sorted
-        (``active_nodes`` iterates in hash order, and the early exit on an
-        empty pool makes the removal count order-dependent), so the
-        ``matcher.ac_removed`` counter is reproducible across processes.
+        neighbor's pool. Each constraint reads that predicate from the
+        graph's :class:`~repro.graph.indexes.SupportMemo`, keyed on the
+        relation and the neighbor pool, and computes it only for the
+        survivors the entry does not cover yet: in one sweep over the ball
+        kernel's edge arrays when they reach the crossover, by row probes
+        otherwise. Every path gives the exact predicate, so survivors,
+        removals and re-queues are the same however a support was found.
+        The worklist is sorted (``active_nodes`` iterates in hash order,
+        and the early exit on an empty pool makes the removal count
+        order-dependent), so the ``matcher.ac_removed`` counter is
+        reproducible across processes.
         """
         bitsets = self.bitsets
         kernel = self.graph.ball_kernel()
-        # No pool below this sweeps, whatever its edge label, so small
-        # pools never price a sweep.
+        memo = self.indexes.supports
+        # No fill below this sweeps, whatever its edge label, so small
+        # fills never price a sweep.
         floor = max(1, _crossover(0))
         # Per node: (other, row-table key) for each incident query edge.
         constraints: Dict[str, List[Tuple[str, Relation]]] = {
@@ -542,9 +555,9 @@ class BitsetEngine:
             )
 
         removed = 0
-        probes = 0
+        intersections = 0
         sweeps = 0
-        supports: Dict[Tuple[Relation, int], int] = {}
+        hits = 0
         queue = deque(sorted(instance.active_nodes))
         queued = set(queue)
         while queue:
@@ -552,44 +565,41 @@ class BitsetEngine:
             queued.discard(node_id)
             pool = masks[node_id]
             node_constraints = constraints[node_id]
-            # Large pools take each constraint's support in one sweep over
-            # the kernel's edge arrays; the rest probe one adjacency row
-            # per candidate, their row tables fetched once per visit. The
-            # neighbor pools cannot change while this node is visited.
             survivors = pool
-            size = pool.bit_count()
-            checks = []
             for other, relation in node_constraints:
                 other_mask = masks[other]
-                if size >= floor and size >= _crossover(kernel.edge_count(relation[1])):
-                    key = (relation, other_mask)
-                    support = supports.get(key)
-                    if support is None:
-                        support = supports[key] = kernel.support(*relation, other_mask)
-                        sweeps += 1
-                    survivors &= support
-                    size = survivors.bit_count()
-                    probes += 1
+                key = relation + (other_mask,)
+                entry = memo.lookup(key)
+                known, support = (0, 0) if entry is None else entry
+                unknown = survivors & ~known
+                if not unknown:
+                    hits += 1
                 else:
-                    checks.append((bitsets.relation(*relation), other_mask, relation))
-            if checks:
-                remaining, survivors = survivors, 0
-                while remaining:
-                    low = remaining & -remaining
-                    remaining ^= low
-                    position = low.bit_length() - 1
-                    for table, other_mask, relation in checks:
-                        row = table[position]
-                        if row is None:
-                            row = bitsets.row(position, *relation)
-                        probes += 1
-                        if row < 0:  # single neighbor at bit ~row
-                            if not other_mask >> ~row & 1:
-                                break
-                        elif not row & other_mask:
-                            break
+                    size = unknown.bit_count()
+                    if size >= floor and size >= _crossover(kernel.edge_count(relation[1])):
+                        known, support = -1, kernel.support(*relation, other_mask)
+                        sweeps += 1
                     else:
-                        survivors |= low
+                        table = bitsets.relation(*relation)
+                        known |= unknown
+                        while unknown:
+                            low = unknown & -unknown
+                            unknown ^= low
+                            position = low.bit_length() - 1
+                            row = table[position]
+                            if row is None:
+                                row = bitsets.row(position, *relation)
+                            intersections += 1
+                            if row < 0:  # single neighbor at bit ~row
+                                if other_mask >> ~row & 1:
+                                    support |= low
+                            elif row & other_mask:
+                                support |= low
+                    memo.store(key, (known, support))
+                survivors &= support
+                intersections += 1
+                if not survivors:
+                    break
             if survivors != pool:
                 removed += (pool & ~survivors).bit_count()
                 masks[node_id] = survivors
@@ -598,11 +608,12 @@ class BitsetEngine:
                         queue.append(other)
                         queued.add(other)
                 if not survivors:
-                    for key in masks:
-                        masks[key] = 0
+                    for node in masks:
+                        masks[node] = 0
                     break
-        work.intersections += probes
+        work.intersections += intersections
         work.sweeps += sweeps
+        work.memo_hits += hits
         return masks, removed
 
     def _solve(
@@ -745,3 +756,5 @@ class BitsetEngine:
             self.metrics.inc("matcher.bitset.mask_intersections", work.intersections)
         if work.sweeps:
             self.metrics.inc("matcher.bitset.support_sweeps", work.sweeps)
+        if work.memo_hits:
+            self.metrics.inc("matcher.bitset.support_memo_hits", work.memo_hits)

@@ -86,6 +86,7 @@ _COUNTERS: Tuple[str, ...] = (
     "matcher.bitset.literal_pool_misses",
     "matcher.bitset.literal_pool_shared_hits",
     "matcher.bitset.mask_intersections",
+    "matcher.bitset.support_memo_hits",
     "matcher.bitset.support_sweeps",
     "matcher.empty_pool_short_circuits",
     "matcher.match_calls",

@@ -305,20 +305,25 @@ def sibling_template():
     )
 
 
+def dense_siblings():
+    """The dense graph and 18 lattice siblings of its template."""
+    template = sibling_template()
+    instances = [
+        QueryInstance(Instantiation(template, {"xe": xe, "xl1": xl1, "xl2": xl2}))
+        for xe in (0, 1)
+        for xl1 in (0, 10, 20)
+        for xl2 in (0, 50, 90)
+    ]
+    return dense_graph(), instances
+
+
 class TestDenseSiblingSweep:
     def test_default_crossover_equals_row_probes(self):
         """A lattice-shaped sibling sweep over a dense graph, acyclic and
         triangle shapes: the default crossover (full pools swept, literal-
         restricted ones probed) gives the masks and answers of row probes
         on every instance."""
-        graph = dense_graph()
-        template = sibling_template()
-        instances = [
-            QueryInstance(Instantiation(template, {"xe": xe, "xl1": xl1, "xl2": xl2}))
-            for xe in (0, 1)
-            for xl1 in (0, 10, 20)
-            for xl2 in (0, 50, 90)
-        ]
+        graph, instances = dense_siblings()
         default = SubgraphMatcher(graph)
         with forced("probe"):
             probe = SubgraphMatcher(graph)

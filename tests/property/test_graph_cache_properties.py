@@ -116,8 +116,8 @@ def assert_equals_fresh(graph):
             if row is not None:
                 assert row == fresh_indexes.bitsets.row(position, *key), (key, position)
     memo = indexes.literal_masks
-    assert memo._masks, "the warm-up memoized no literal mask"
-    for (label, attribute, op, constant), mask in memo._masks.items():
+    assert memo._entries, "the warm-up memoized no literal mask"
+    for (label, attribute, op, constant), mask in memo._entries.items():
         literal = Literal(attribute, op, constant)
         for position, node in enumerate(indexes.bitsets.order(label)):
             holds = literal.holds_for(graph.attribute(node, attribute))

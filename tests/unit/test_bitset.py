@@ -1,11 +1,15 @@
 """Unit tests for the bitset matching engine and its index substrate."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.evaluator import InstanceEvaluator
 from repro.errors import MatchingError
+from repro.graph import indexes as indexes_module
 from repro.graph.builder import GraphBuilder
-from repro.graph.indexes import GraphIndexes
+from repro.graph.indexes import SUPPORT_MEMO_ENTRIES, GraphIndexes, SupportMemo
 from repro.matching import (
     BitsetEngine,
     LiteralPoolCache,
@@ -13,10 +17,11 @@ from repro.matching import (
     naive_match_set,
 )
 from repro.matching.bitset import iter_bits
-from repro.matching.delta import GraphDelta, apply_delta_in_place
+from repro.matching.delta import GraphDelta, apply_delta, apply_delta_in_place
 from repro.obs import MetricsRegistry
 from repro.query import Instantiation, Literal, Op, QueryInstance
-from tests.ac3 import forced
+from tests.ac3 import crossover, forced
+from tests.property.test_engine_differential import dense_siblings
 
 
 def talent_instance(template, **bindings):
@@ -303,6 +308,114 @@ class TestSupportSweep:
             swept.append(matcher.metrics.value("matcher.bitset.support_sweeps"))
             assert result.matches == naive_match_set(triangle_graph, q)
         assert swept[0] == 0
-        # One sweep per distinct (relation, neighbor pool) at most: six
-        # constraints over one relation pair, memoized within the call.
-        assert 0 < swept[1] <= 6
+        # Forced, every constraint check sweeps: six checks on the first
+        # pass over the three nodes, more as removals re-queue them.
+        assert swept[1] > 6
+        # With the graph's memo, one sweep per distinct (relation,
+        # neighbor pool) at most: the six checks of the first pass share
+        # two relations and one pool; a second match reads every support.
+        graph = apply_delta(triangle_graph, GraphDelta())
+        with crossover("sweep"):
+            matcher = SubgraphMatcher(graph)
+            assert matcher.match(q).matches == result.matches
+            first = matcher.metrics.value("matcher.bitset.support_sweeps")
+            assert 0 < first < swept[1]
+            matcher.match(q)
+        assert matcher.metrics.value("matcher.bitset.support_sweeps") == first
+        assert matcher.metrics.value("matcher.bitset.support_memo_hits") > 0
+
+
+class TestSupportMemo:
+    """The graph-owned AC-3 support memo: its LRU bound, its per-edge-label
+    drop, and engines on several threads sharing it."""
+
+    @staticmethod
+    def key(i, edge_label="e"):
+        return ("a", edge_label, True, "a", i)
+
+    def test_bound_evicts_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(indexes_module, "SUPPORT_MEMO_ENTRIES", 3)
+        memo = SupportMemo()
+        for i in range(3):
+            memo.store(self.key(i), (-1, i))
+        assert memo.lookup(self.key(0)) == (-1, 0)  # now most recent
+        memo.store(self.key(3), (-1, 3))
+        assert len(memo) == 3
+        assert memo.lookup(self.key(1)) is None
+        assert [memo.lookup(self.key(i)) for i in (0, 2, 3)] == [
+            (-1, 0), (-1, 2), (-1, 3)
+        ]
+        memo.store(self.key(4, "f"), (0b1, 0b1))  # evicts 0
+        assert memo.lookup(self.key(0)) is None
+        # Evicted keys leave the per-edge-label index too.
+        assert memo.drop_edge_label("e") == 2
+        assert len(memo) == 1
+        assert memo.lookup(self.key(4, "f")) == (0b1, 0b1)
+
+    def test_default_bound(self):
+        assert SUPPORT_MEMO_ENTRIES == 4096
+        assert isinstance(GraphIndexes(support_graph()).supports, SupportMemo)
+
+    def test_matching_never_exceeds_bound(self, monkeypatch):
+        """A sibling sweep over a dense graph, sweeps and probes alike,
+        stays within a bound far below its distinct supports and answers
+        as a cold probed match does."""
+        monkeypatch.setattr(indexes_module, "SUPPORT_MEMO_ENTRIES", 4)
+        graph, instances = dense_siblings()
+        memo = graph.indexes().supports
+        matcher = SubgraphMatcher(graph)
+        served = []
+        for instance in instances + instances:
+            served.append(matcher.match(instance))
+            assert len(memo) <= 4
+        assert matcher.metrics.value("matcher.bitset.support_sweeps") > 0
+        with forced("probe"):
+            probe = SubgraphMatcher(graph.copy())
+            probed = [probe.match(instance) for instance in instances + instances]
+        assert [r.candidate_masks for r in served] == [r.candidate_masks for r in probed]
+        assert [r.mask for r in served] == [r.mask for r in probed]
+
+    def test_threads_sharing_a_graph_agree_with_serial(self, monkeypatch):
+        """Four engines matching on one graph from four threads, each in
+        its own order, read, fill and evict one small memo; every answer
+        equals a serial run's on a copy."""
+        monkeypatch.setattr(indexes_module, "SUPPORT_MEMO_ENTRIES", 4)
+        graph, instances = dense_siblings()
+        serial = SubgraphMatcher(graph.copy())
+        expected = {
+            i: (r.mask, r.candidate_masks)
+            for i, r in enumerate(serial.match(q) for q in instances)
+        }
+        order = list(range(len(instances)))
+        orders = [order, order[::-1], order[5:] + order[:5], order[::2] + order[1::2]]
+        results = [{} for _ in orders]
+        errors = []
+
+        def work(slot, order):
+            try:
+                matcher = SubgraphMatcher(graph)
+                for _ in range(3):
+                    for i in order:
+                        result = matcher.match(instances[i])
+                        results[slot][i] = (result.mask, result.candidate_masks)
+                        assert results[slot][i] == expected[i], i
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(slot, order))
+                for slot, order in enumerate(orders)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert all(result == expected for result in results)
+        assert len(graph.indexes().supports) > 0

@@ -133,7 +133,7 @@ class TestWorkloadLiteralPools:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert len(memo) == 2
-        assert sum(len(keys) for keys in memo._by_pair.values()) == 2
+        assert sum(len(keys) for keys in memo._groups.values()) == 2
 
 
 class TestGraphContext:
