@@ -19,7 +19,7 @@ many runs without per-run interference.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List
 
 from repro.core.config import GenerationConfig
 from repro.core.evaluator import EvaluatedInstance, InstanceEvaluator
@@ -60,6 +60,8 @@ class QGenAlgorithm:
         )
         self.lattice = InstanceLattice(config, metrics=self.metrics)
         self._trace: List[tuple] = []
+        # Full counter name per ``_inc`` suffix, formatted once.
+        self._counter_names: Dict[str, str] = {}
 
     # ------------------------------------------------------------------ #
 
@@ -78,7 +80,10 @@ class QGenAlgorithm:
 
     def _inc(self, suffix: str, amount: int = 1) -> None:
         """Bump ``gen.<algo>.<suffix>`` on the per-run registry."""
-        self.metrics.inc(f"{self.metrics_namespace}.{suffix}", amount)
+        name = self._counter_names.get(suffix)
+        if name is None:
+            name = self._counter_names[suffix] = f"{self.metrics_namespace}.{suffix}"
+        self.metrics.inc(name, amount)
 
     def _begin_run(self) -> None:
         """Reset and pre-register this run's ``gen.<algo>.*`` counters.

@@ -83,7 +83,8 @@ class BiQGen(QGenAlgorithm):
         # Infeasibility witnesses (Lemma 2): an instance refining a known
         # infeasible instance is itself infeasible, so either frontier can
         # skip its verification outright. This is what lets the backward
-        # frontier cross the infeasible bottom region cheaply.
+        # frontier cross the infeasible bottom region cheaply. Only the
+        # minimal witnesses are kept (an antichain under refinement).
         self._infeasible: List[QueryInstance] = []
 
         with timed(stats), self.metrics.trace(f"{self.metrics_namespace}.run"):
@@ -167,7 +168,7 @@ class BiQGen(QGenAlgorithm):
             # Lemma 2: refinements of an infeasible instance stay infeasible.
             self._inc("pruned")
             self._inc("pruned_infeasible")
-            self._infeasible.append(instance)
+            self._record_infeasible(instance)
             return
         self._inc("feasible")
         self._offer(archive, evaluated)
@@ -225,7 +226,7 @@ class BiQGen(QGenAlgorithm):
                 # Not counted as "pruned": the instance *was* verified.
                 # The sub-counter still records the infeasibility witness.
                 self._inc("pruned_infeasible")
-                self._infeasible.append(instance)
+                self._record_infeasible(instance)
         # Relaxation can restore feasibility, so the backward frontier keeps
         # expanding from infeasible instances as well.
         for _, child in self.lattice.relax_children(instance):
@@ -236,6 +237,17 @@ class BiQGen(QGenAlgorithm):
     def _known_infeasible(self, instance: QueryInstance) -> bool:
         """True iff ``instance`` refines a recorded infeasible instance."""
         return any(refines(instance, witness) for witness in self._infeasible)
+
+    def _record_infeasible(self, instance: QueryInstance) -> None:
+        """Record an infeasibility witness; the witnesses stay an antichain.
+
+        Stored witnesses that refine ``instance`` are dropped: whatever
+        refines one of them also refines ``instance`` (``⪰`` is
+        transitive), so :meth:`_known_infeasible` answers as before for
+        every instance.
+        """
+        self._infeasible = [w for w in self._infeasible if not refines(w, instance)]
+        self._infeasible.append(instance)
 
     def _register_pairs(
         self,

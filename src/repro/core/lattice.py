@@ -103,7 +103,7 @@ class InstanceLattice:
         self.metrics = metrics or MetricsRegistry()
         self._diameter = self.template.diameter()
         self._output_label = self.template.node(self.template.output_node).label
-        self._ball_cache: "OrderedDict[int, Ball]" = OrderedDict()
+        self._ball_cache: "OrderedDict[int, _BallEntry]" = OrderedDict()
 
     # ------------------------------------------------------------------ #
     # Extremes
@@ -145,17 +145,15 @@ class InstanceLattice:
         are restricted to the d-hop neighborhood of the matches before
         stepping.
         """
-        graph = self.config.graph
-        ball: Optional[Ball] = None
+        entry: Optional[_BallEntry] = None
         if self.config.use_template_refinement and evaluated is not None and evaluated.mask:
-            ball = self._ball(evaluated.mask)
+            entry = self._ball(evaluated.mask)
 
         children: List[Tuple[str, QueryInstance]] = []
         inst = instance.instantiation
         for name, var in self.template.range_variables.items():
             restricted = False
-            if ball is not None:
-                label = self.template.node(var.node).label
+            if entry is not None:
                 # Snap each in-ball value to its representative in the
                 # (possibly quantized) domain. The paper restricts to the
                 # in-ball values themselves, which is sound over the full
@@ -164,8 +162,7 @@ class InstanceLattice:
                 # match sets (found by the end-to-end property test), so
                 # we keep every quantized value that is the tightest bound
                 # satisfied by some in-ball value.
-                allowed = _snap_ball(graph, ball, label, var, self.domains.domain(name))
-                self.domains.restrict(name, allowed)
+                self.domains.restrict(name, self._snapped(entry, name, var))
                 restricted = True
             try:
                 next_value = self.domains.next_refined(name, inst[name])
@@ -178,7 +175,7 @@ class InstanceLattice:
             current = inst[name]
             if current != WILDCARD and int(current) == 1:
                 continue
-            if ball is not None and not ball.has_labeled_edge(var.label):
+            if entry is not None and not entry.ball.has_labeled_edge(var.label):
                 # Template refinement "fixes" the variable to 0: no edge with
                 # this label exists near any match, so raising it can only
                 # produce empty answers.
@@ -253,18 +250,48 @@ class InstanceLattice:
     #: is evicted (one at a time — no wholesale flush of warm entries).
     _BALL_CACHE_MAX = 256
 
-    def _ball(self, mask: int) -> Ball:
+    def _ball(self, mask: int) -> _BallEntry:
         """LRU-cached d-hop ball ``G_q^d`` of an answer mask (over the
-        output label's enumeration)."""
-        ball = self._ball_cache.get(mask)
-        if ball is None:
+        output label's enumeration), with its snapped domains."""
+        entry = self._ball_cache.get(mask)
+        if entry is None:
             self.metrics.inc("lattice.ball_cache_misses")
-            ball = mask_ball(self.config.graph, self._output_label, mask, self._diameter)
+            entry = _BallEntry(
+                mask_ball(self.config.graph, self._output_label, mask, self._diameter)
+            )
             while len(self._ball_cache) >= self._BALL_CACHE_MAX:
                 self._ball_cache.popitem(last=False)
                 self.metrics.inc("lattice.ball_cache_evictions")
-            self._ball_cache[mask] = ball
+            self._ball_cache[mask] = entry
         else:
             self.metrics.inc("lattice.ball_cache_hits")
             self._ball_cache.move_to_end(mask)
-        return ball
+        return entry
+
+    def _snapped(self, entry: _BallEntry, name: str, var: RangeVariable) -> set:
+        """The ball's values of ``var`` snapped to its current domain,
+        memoized on the ball-cache entry."""
+        domain = self.domains.domain(name)
+        memo = entry.snaps.get(name)
+        if memo is None or memo[0] is not domain:
+            label = self.template.node(var.node).label
+            memo = (domain, _snap_ball(self.config.graph, entry.ball, label, var, domain))
+            entry.snaps[name] = memo
+        return memo[1]
+
+
+class _BallEntry:
+    """A ball-cache entry: one answer mask's ball and its snapped domains.
+
+    ``snaps`` maps a range variable's name to ``(domain, allowed)``, the
+    :func:`_snap_ball` of the ball over that domain tuple. The ball is
+    fixed for the lattice's run, so an entry is reused while
+    ``domains.domain(name)`` returns the same tuple (checked by
+    identity: a changed domain is a new tuple).
+    """
+
+    __slots__ = ("ball", "snaps")
+
+    def __init__(self, ball: Ball) -> None:
+        self.ball = ball
+        self.snaps: Dict[str, Tuple[Tuple, set]] = {}

@@ -294,13 +294,17 @@ class _GroupedLRU:
     Engines on several threads share a graph's memos, so every read and
     write holds the lock. ``_group(key)`` names the group a key belongs
     to, so a graph hook can reach exactly the keys an update touches.
+    A group maps ``id(key)`` to the stored key object: a key can hold a
+    mask of thousands of bits, which Python hashes anew on every dict
+    operation, so the group index never hashes one, and a store hashes
+    its key once.
     """
 
     def __init__(self, max_entries: int) -> None:
         self._max_entries = max_entries
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Tuple, Any]" = OrderedDict()
-        self._groups: Dict[Any, Set[Tuple]] = {}
+        self._groups: Dict[Any, Dict[int, Tuple]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -321,17 +325,20 @@ class _GroupedLRU:
     def store(self, key: Tuple, value: Any) -> None:
         """Memoize ``value``, evicting the least recently used key when full."""
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            else:
-                self._groups.setdefault(self._group(key), set()).add(key)
-            self._entries[key] = value
-            if len(self._entries) > self._max_entries:
-                evicted, _ = self._entries.popitem(last=False)
-                group = self._groups[self._group(evicted)]
-                group.discard(evicted)
+            entries = self._entries
+            size = len(entries)
+            entries[key] = value
+            if len(entries) == size:
+                entries.move_to_end(key)
+                return
+            self._groups.setdefault(self._group(key), {})[id(key)] = key
+            if len(entries) > self._max_entries:
+                evicted, _ = entries.popitem(last=False)
+                name = self._group(evicted)
+                group = self._groups[name]
+                del group[id(evicted)]
                 if not group:
-                    del self._groups[self._group(evicted)]
+                    del self._groups[name]
 
 
 class LiteralMasks(_GroupedLRU):
@@ -368,7 +375,7 @@ class LiteralMasks(_GroupedLRU):
             if not keys:
                 return 0
             bit = 1 << self._bitsets.positions(label)[node_id]
-            for key in keys:
+            for key in keys.values():
                 if key[2].evaluate(value, key[3]):
                     self._entries[key] |= bit
                 else:
@@ -405,8 +412,8 @@ class SupportMemo(_GroupedLRU):
     def drop_edge_label(self, edge_label: str) -> int:
         """Drop every entry over ``edge_label``; returns the drop count."""
         with self._lock:
-            keys = self._groups.pop(edge_label, ())
-            for key in keys:
+            keys = self._groups.pop(edge_label, {})
+            for key in keys.values():
                 del self._entries[key]
             return len(keys)
 

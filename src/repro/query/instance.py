@@ -7,12 +7,15 @@ lie in the connected component of the output node ``u_o``. Query nodes
 outside that component are dropped along with their literals (the paper's
 Spawn does the same for bridge removals), so an instance is always a
 connected query rooted at ``u_o``.
+
+The active nodes and edges depend only on the edge-variable bits, so the
+template memoizes them (:meth:`~repro.query.template.QueryTemplate.induced_structure`);
+an instance only binds its range variables' literals.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, FrozenSet, List, Mapping, Set, Tuple
+from typing import Dict, List, Tuple
 
 from repro.query.predicates import Literal
 from repro.query.instantiation import Instantiation
@@ -34,53 +37,25 @@ class QueryInstance:
     __slots__ = ("template", "instantiation", "active_nodes", "edges", "literals")
 
     def __init__(self, instantiation: Instantiation) -> None:
-        self.template: QueryTemplate = instantiation.template
+        template = instantiation.template
+        self.template: QueryTemplate = template
         self.instantiation = instantiation
-        edges = self._induced_edges()
-        self.active_nodes: FrozenSet[str] = self._component_of_output(edges)
-        self.edges: Tuple[Tuple[str, str, str], ...] = tuple(
-            e for e in edges if e[0] in self.active_nodes and e[1] in self.active_nodes
+        values = instantiation._values
+        bits = tuple(
+            (value := values[name]) != WILDCARD and int(value) == 1
+            for name in template.edge_variables
         )
-        self.literals: Dict[str, Tuple[Literal, ...]] = self._induced_literals()
-
-    # ------------------------------------------------------------------ #
-    # Induction
-    # ------------------------------------------------------------------ #
-
-    def _induced_edges(self) -> List[Tuple[str, str, str]]:
-        edges = [e.key for e in self.template.fixed_edges]
-        for var in self.template.edge_variables.values():
-            value = self.instantiation[var.name]
-            if value != WILDCARD and int(value) == 1:
-                edges.append(var.edge_key)
-        return edges
-
-    def _component_of_output(self, edges: List[Tuple[str, str, str]]) -> FrozenSet[str]:
-        adjacency: Dict[str, Set[str]] = {n: set() for n in self.template.nodes}
-        for source, target, _ in edges:
-            adjacency[source].add(target)
-            adjacency[target].add(source)
-        root = self.template.output_node
-        seen = {root}
-        frontier = deque([root])
-        while frontier:
-            current = frontier.popleft()
-            for neighbor in adjacency[current]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    frontier.append(neighbor)
-        return frozenset(seen)
-
-    def _induced_literals(self) -> Dict[str, Tuple[Literal, ...]]:
-        out: Dict[str, Tuple[Literal, ...]] = {}
+        self.active_nodes, self.edges = template.induced_structure(bits)
+        plan = template._literal_plan
+        literals: Dict[str, Tuple[Literal, ...]] = {}
         for node_id in self.active_nodes:
-            literals = list(self.template.node(node_id).literals)
-            for var in self.template.range_variables_on(node_id):
-                value = self.instantiation[var.name]
+            fixed, variables = plan[node_id]
+            for var in variables:
+                value = values[var.name]
                 if value != WILDCARD:
-                    literals.append(Literal(var.attribute, var.op, value))
-            out[node_id] = tuple(literals)
-        return out
+                    fixed += (Literal(var.attribute, var.op, value),)
+            literals[node_id] = fixed
+        self.literals = literals
 
     # ------------------------------------------------------------------ #
     # Accessors

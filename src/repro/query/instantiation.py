@@ -87,8 +87,21 @@ class Instantiation(Mapping[str, Any]):
         return Instantiation(self._template, merged)
 
     def with_value(self, name: str, value: Any) -> "Instantiation":
-        """Return a copy with one variable re-bound (positional API)."""
-        return self.bind(**{name: value})
+        """Return a copy with one variable re-bound (positional API).
+
+        Equal to ``bind(**{name: value})``. The other bindings are already
+        valid and the key already sorted, so neither is redone: the child
+        key follows this key's name order.
+        """
+        values = dict(self._values)
+        if name not in values:
+            raise VariableError(f"unknown variable {name!r}")
+        values[name] = value
+        child = Instantiation.__new__(Instantiation)
+        child._template = self._template
+        child._values = values
+        child._key = tuple([(key, values[key]) for key, _ in self._key])
+        return child
 
     def is_total(self) -> bool:
         """True iff no variable is bound to the wildcard."""

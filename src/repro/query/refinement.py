@@ -45,10 +45,9 @@ def refines(refined: Refinable, base: Refinable) -> bool:
     base_inst = _as_instantiation(base)
     if refined_inst.template is not base_inst.template:
         return False
-    template = refined_inst.template
-    for name in template.variable_names():
-        var = template.variable(name)
-        if not var.refines_value(refined_inst[name], base_inst[name]):
+    new, old = refined_inst._values, base_inst._values
+    for name, refines_value in refined_inst.template._refinement_checks:
+        if not refines_value(new[name], old[name]):
             return False
     return True
 

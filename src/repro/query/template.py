@@ -11,11 +11,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import QueryError, VariableError
 from repro.query.predicates import Literal, Op
 from repro.query.variables import EdgeVariable, RangeVariable
+
+EdgeKey = Tuple[str, str, str]
 
 
 @dataclass(frozen=True)
@@ -36,7 +38,7 @@ class TemplateEdge:
     label: str = ""
 
     @property
-    def key(self) -> Tuple[str, str, str]:
+    def key(self) -> EdgeKey:
         return (self.source, self.target, self.label)
 
 
@@ -81,6 +83,19 @@ class QueryTemplate:
             raise QueryError(f"variable names reused across kinds: {sorted(overlap)}")
         self.output_node = output_node
         self._validate()
+        # Spawn's per-template plans. The structure memo maps the
+        # edge-variable bits (in ``edge_variables`` order) to the induced
+        # ``(active nodes, edges)``; it holds at most 2^|X_E| entries.
+        self._structures: Dict[Tuple[bool, ...], Tuple[FrozenSet[str], Tuple[EdgeKey, ...]]] = {}
+        # Per node: its fixed literals and the range variables on it.
+        self._literal_plan: Dict[str, Tuple[Tuple[Literal, ...], Tuple[RangeVariable, ...]]] = {
+            node_id: (tuple(node.literals), tuple(self.range_variables_on(node_id)))
+            for node_id, node in self.nodes.items()
+        }
+        # ``(name, refines_value)`` per variable, X_L then X_E.
+        self._refinement_checks: Tuple[Tuple[str, Callable[[Any, Any], bool]], ...] = tuple(
+            (name, self.variable(name).refines_value) for name in self.variable_names()
+        )
 
     # ------------------------------------------------------------------ #
     # Validation
@@ -100,14 +115,13 @@ class QueryTemplate:
             for endpoint in (var.source, var.target):
                 if endpoint not in self.nodes:
                     raise VariableError(f"edge variable {var.name} endpoint {endpoint!r} unknown")
-        if not self._connected_with_all_edges():
+        if len(self._component(self.all_edge_keys())) != len(self.nodes):
             raise QueryError("template must be connected when all edges are present")
 
-    def _connected_with_all_edges(self) -> bool:
-        if len(self.nodes) <= 1:
-            return True
+    def _component(self, edges: Iterable[EdgeKey]) -> FrozenSet[str]:
+        """Query nodes connected to the output node over ``edges``."""
         adjacency: Dict[str, Set[str]] = {n: set() for n in self.nodes}
-        for source, target, _ in self.all_edge_keys():
+        for source, target, _ in edges:
             adjacency[source].add(target)
             adjacency[target].add(source)
         seen = {self.output_node}
@@ -118,7 +132,7 @@ class QueryTemplate:
                 if neighbor not in seen:
                     seen.add(neighbor)
                     frontier.append(neighbor)
-        return len(seen) == len(self.nodes)
+        return frozenset(seen)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -170,7 +184,7 @@ class QueryTemplate:
         """``|Q(u_o)|`` — total number of (fixed + optional) edges."""
         return len(self.fixed_edges) + len(self.edge_variables)
 
-    def all_edge_keys(self) -> List[Tuple[str, str, str]]:
+    def all_edge_keys(self) -> List[EdgeKey]:
         """Every edge key, fixed and optional, in deterministic order."""
         keys = [e.key for e in self.fixed_edges]
         keys.extend(v.edge_key for v in self.edge_variables.values())
@@ -203,23 +217,31 @@ class QueryTemplate:
             best = max(best, max(depth.values()))
         return best
 
-    def is_bridge(self, edge_key: Tuple[str, str, str]) -> bool:
+    def is_bridge(self, edge_key: EdgeKey) -> bool:
         """True iff removing the edge disconnects the all-edges template."""
-        adjacency: Dict[str, Set[str]] = {n: set() for n in self.nodes}
-        for source, target, label in self.all_edge_keys():
-            if (source, target, label) == edge_key:
-                continue
-            adjacency[source].add(target)
-            adjacency[target].add(source)
-        seen = {self.output_node}
-        frontier = deque([self.output_node])
-        while frontier:
-            current = frontier.popleft()
-            for neighbor in adjacency[current]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    frontier.append(neighbor)
-        return len(seen) != len(self.nodes)
+        kept = [key for key in self.all_edge_keys() if key != edge_key]
+        return len(self._component(kept)) != len(self.nodes)
+
+    def induced_structure(
+        self, bits: Tuple[bool, ...]
+    ) -> Tuple[FrozenSet[str], Tuple[EdgeKey, ...]]:
+        """``(active nodes, edges)`` of an instance (paper Section II).
+
+        ``bits`` says, per edge variable in :attr:`edge_variables` order,
+        whether its edge is present. The active nodes are the output
+        node's connected component over the fixed and present edges, and
+        the edges those of them inside it. Memoized per ``bits``.
+        """
+        structure = self._structures.get(bits)
+        if structure is None:
+            edges = [e.key for e in self.fixed_edges]
+            edges.extend(
+                var.edge_key for var, bit in zip(self.edge_variables.values(), bits) if bit
+            )
+            active = self._component(edges)
+            structure = (active, tuple(e for e in edges if e[0] in active and e[1] in active))
+            self._structures[bits] = structure
+        return structure
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
