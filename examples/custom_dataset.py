@@ -23,7 +23,7 @@ from repro.datasets.synthetic import (
     build_synthetic,
 )
 from repro.datasets.validation import validate_graph
-from repro.groups.groups import groups_from_attribute
+from repro.groups import GroupRule, system_from_rules
 from repro.workload import TemplateGenerator, TemplateSpec
 
 
@@ -82,8 +82,12 @@ def main():
 
     # Customer-segment groups: suggestions must surface both retail and
     # business reviewers.
-    groups = groups_from_attribute(
-        graph, "segment", {"retail": 6, "business": 6}, label="customer"
+    groups = system_from_rules(
+        graph,
+        [
+            GroupRule(segment, {"segment": segment}, 6, label="customer")
+            for segment in ("retail", "business")
+        ],
     )
     print(f"groups: {groups}")
 

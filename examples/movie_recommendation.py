@@ -13,7 +13,7 @@ import argparse
 
 from repro import BiQGen, GenerationConfig, RfQGen
 from repro.datasets.dbp import build_dbp, dbp_template
-from repro.groups.groups import groups_from_attribute
+from repro.groups import GroupRule, system_from_rules
 
 
 def main():
@@ -26,11 +26,12 @@ def main():
     args = parser.parse_args()
 
     graph = build_dbp(scale=args.scale)
-    groups = groups_from_attribute(
+    groups = system_from_rules(
         graph,
-        "genre",
-        {genre: args.per_genre for genre in args.genres},
-        label="movie",
+        [
+            GroupRule(genre, {"genre": genre}, args.per_genre, label="movie")
+            for genre in args.genres
+        ],
     )
     print(f"graph: {graph}")
     print(f"coverage constraints: {groups}")

@@ -30,11 +30,10 @@ class GenerationConfig:
     Attributes:
         graph: The data graph ``G``.
         template: The query template ``Q(u_o)``.
-        groups: Node groups ``P`` with coverage constraints — the paper's
-            disjoint :class:`~repro.groups.groups.GroupSet` or a
-            generalized overlapping
-            :class:`~repro.groups.system.GroupSystem` (multi-attribute
-            predicates, relaxed thresholds, pluggable aggregate ``f``).
+        groups: Node groups ``P`` with coverage constraints: a
+            :class:`~repro.groups.system.GroupSystem` (the paper's
+            disjoint groups, or overlapping multi-attribute predicates,
+            relaxed thresholds and a pluggable aggregate ``f``).
         epsilon: The ε of ε-dominance (must be > 0).
         lam: Relevance/diversity balance λ of the diversity measure.
         relevance: Optional relevance scorer (default: constant 1).

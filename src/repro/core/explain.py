@@ -16,7 +16,7 @@ from typing import Any, List, Optional
 
 from repro.core.evaluator import EvaluatedInstance
 from repro.errors import QueryError
-from repro.groups.groups import GroupSet
+from repro.groups.system import GroupSystem
 from repro.query.instance import QueryInstance
 from repro.query.variables import EdgeVariable, RangeVariable, WILDCARD
 
@@ -90,7 +90,7 @@ def diff_instances(
 def explain_suggestion(
     baseline: EvaluatedInstance,
     suggestion: EvaluatedInstance,
-    groups: Optional[GroupSet] = None,
+    groups: Optional[GroupSystem] = None,
 ) -> str:
     """A multi-line narrative: the edits plus their effect on the answer.
 

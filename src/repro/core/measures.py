@@ -374,47 +374,6 @@ class CoverageMeasure:
         return self.groups.overlaps(matches)
 
 
-class WeightedCoverageMeasure(CoverageMeasure):
-    """Coverage quality with per-group importance weights.
-
-    ``f_w(q) = C_w − Σ_i w_i · | |q(G) ∩ P_i| − c_i |`` with
-    ``C_w = Σ w_i c_i``. With all weights 1 this is exactly the paper's
-    measure; larger ``w_i`` makes deviations on group ``i`` costlier (a
-    regulator-mandated group, say). Monotonicity along refinement chains is
-    preserved (each per-group deviation term is), so the lattice algorithms
-    accept it unchanged through :class:`GenerationConfig`-level injection.
-    """
-
-    def __init__(self, groups: GroupSystem, weights: Dict[str, float]) -> None:
-        super().__init__(groups)
-        for name in weights:
-            if name not in groups.names:
-                raise ConfigurationError(f"weight for unknown group {name!r}")
-            if weights[name] < 0:
-                raise ConfigurationError(f"negative weight for group {name!r}")
-        self.weights = {name: float(weights.get(name, 1.0)) for name in groups.names}
-        # ``of()`` reads the bound on every call; the groups and weights are
-        # immutable after construction, so compute the generator-sum once.
-        self._upper_bound = sum(
-            self.weights[g.name] * g.coverage for g in self.groups
-        )
-
-    @property
-    def upper_bound(self) -> float:  # type: ignore[override]
-        """``C_w = Σ w_i c_i`` (cached at construction)."""
-        return self._upper_bound
-
-    def of(self, matches: Iterable[int]) -> float:
-        return self.of_overlaps(self.groups.overlaps(matches))
-
-    def of_overlaps(self, overlaps: Mapping[str, int]) -> float:
-        penalty = sum(
-            self.weights[g.name] * abs(overlaps[g.name] - g.coverage)
-            for g in self.groups
-        )
-        return max(0.0, self.upper_bound - penalty)
-
-
 def max_min_diversity(
     graph: AttributedGraph,
     label: str,

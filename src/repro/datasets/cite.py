@@ -17,7 +17,7 @@ from repro.datasets.sampler import Sampler
 from repro.datasets.schema import AttributeSpec, EdgeSpec, GraphSchema, NodeSpec
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.builder import GraphBuilder
-from repro.groups.groups import GroupSet, groups_from_attribute
+from repro.groups.system import GroupRule, GroupSystem, system_from_rules
 from repro.query.predicates import Op
 from repro.query.template import QueryTemplate
 
@@ -125,15 +125,17 @@ def build_cite(scale: float = 1.0, seed: int = 13) -> AttributedGraph:
 
 def cite_groups(
     graph: AttributedGraph, num_groups: int = 2, coverage_total: int = 40
-) -> GroupSet:
-    """Paper groups by topic (up to 4 in the paper), even coverage."""
-    keys = names.TOPICS[:num_groups]
+) -> GroupSystem:
+    """Paper groups by topic (up to 4 in the paper), even coverage.
+
+    Each group's target is clamped to its population.
+    """
     per_group = max(1, coverage_total // num_groups)
-    probe = groups_from_attribute(graph, "topic", {key: 0 for key in keys}, label="paper")
-    coverage: Dict[str, int] = {
-        group.name: min(per_group, len(group)) for group in probe
-    }
-    return probe.with_constraints(coverage)
+    rules = [
+        GroupRule(topic, {"topic": topic}, per_group, label="paper")
+        for topic in names.TOPICS[:num_groups]
+    ]
+    return system_from_rules(graph, rules, clamp=True)
 
 
 def cite_template() -> QueryTemplate:

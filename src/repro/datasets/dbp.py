@@ -16,14 +16,14 @@ the real data.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.datasets import names
 from repro.datasets.sampler import Sampler
 from repro.datasets.schema import AttributeSpec, EdgeSpec, GraphSchema, NodeSpec
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.builder import GraphBuilder
-from repro.groups.groups import GroupSet, groups_from_attribute
+from repro.groups.system import GroupRule, GroupSystem, system_from_rules
 from repro.query.predicates import Op
 from repro.query.template import QueryTemplate
 
@@ -154,7 +154,7 @@ def dbp_groups(
     num_groups: int = 2,
     coverage_total: int = 40,
     by: str = "genre",
-) -> GroupSet:
+) -> GroupSystem:
     """Movie groups by genre (default) or country, with even coverage.
 
     The first ``num_groups`` vocabulary entries (the most popular under the
@@ -162,15 +162,12 @@ def dbp_groups(
     and clamped to the group sizes.
     """
     vocabulary = names.GENRES if by == "genre" else names.COUNTRIES
-    keys = vocabulary[:num_groups]
     per_group = max(1, coverage_total // num_groups)
-    probe = groups_from_attribute(
-        graph, by, {key: 0 for key in keys}, label="movie"
-    )
-    coverage: Dict[str, int] = {}
-    for group in probe:
-        coverage[group.name] = min(per_group, len(group))
-    return probe.with_constraints(coverage)
+    rules = [
+        GroupRule(value, {by: value}, per_group, label="movie")
+        for value in vocabulary[:num_groups]
+    ]
+    return system_from_rules(graph, rules, clamp=True)
 
 
 def dbp_template() -> QueryTemplate:

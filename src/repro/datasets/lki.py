@@ -13,14 +13,14 @@ This is the dataset of the paper's running talent-search example (Fig. 1).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.datasets import names
 from repro.datasets.sampler import Sampler
 from repro.datasets.schema import AttributeSpec, EdgeSpec, GraphSchema, NodeSpec
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.builder import GraphBuilder
-from repro.groups.groups import GroupSet, groups_from_attribute
+from repro.groups.system import GroupRule, GroupSystem, system_from_rules
 from repro.query.predicates import Literal, Op
 from repro.query.template import QueryTemplate
 
@@ -113,14 +113,17 @@ def build_lki(scale: float = 1.0, seed: int = 11) -> AttributedGraph:
     return builder.build()
 
 
-def lki_groups(graph: AttributedGraph, coverage_total: int = 40) -> GroupSet:
-    """The two gender groups over all persons, with even coverage."""
+def lki_groups(graph: AttributedGraph, coverage_total: int = 40) -> GroupSystem:
+    """The two gender groups over all persons, with even coverage.
+
+    Each group's target is clamped to its population.
+    """
     per_group = max(1, coverage_total // 2)
-    probe = groups_from_attribute(graph, "gender", {"M": 0, "F": 0}, label="person")
-    coverage: Dict[str, int] = {
-        group.name: min(per_group, len(group)) for group in probe
-    }
-    return probe.with_constraints(coverage)
+    rules = [
+        GroupRule(value, {"gender": value}, per_group, label="person")
+        for value in ("M", "F")
+    ]
+    return system_from_rules(graph, rules, clamp=True)
 
 
 def lki_template() -> QueryTemplate:

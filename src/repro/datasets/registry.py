@@ -8,7 +8,7 @@ from typing import Callable, Dict, Tuple
 from repro.datasets.schema import GraphSchema
 from repro.errors import DatasetError
 from repro.graph.attributed_graph import AttributedGraph
-from repro.groups.groups import GroupSet
+from repro.groups.system import GroupSystem
 from repro.query.template import QueryTemplate
 
 
@@ -20,14 +20,15 @@ class DatasetBundle:
         name: Dataset name (``"DBP"`` / ``"LKI"`` / ``"Cite"``).
         graph: The attributed graph.
         schema: The label/attribute/edge vocabulary (template generation).
-        groups: Default disjoint groups with coverage constraints.
+        groups: Default disjoint groups with coverage constraints, built
+            from attribute rules (they repair membership under churn).
         template: The dataset's canonical query template.
     """
 
     name: str
     graph: AttributedGraph
     schema: GraphSchema
-    groups: GroupSet
+    groups: GroupSystem
     template: QueryTemplate
 
 

@@ -1,15 +1,18 @@
 """Node groups and fairness constraint helpers.
 
-A :class:`GroupSet` is the paper's ``P``: ``m`` disjoint node groups, each
-with a coverage constraint ``c_i ≤ |P_i|``. Its generalization
-:class:`GroupSystem` allows overlapping attribute-combination groups,
+A :class:`GroupSystem` is the paper's ``P``: ``m`` node groups, each with
+a coverage constraint ``c_i ≤ |P_i|``, generalized to overlapping groups,
 relaxed per-group thresholds and a pluggable aggregate error ``f`` (see
-``docs/fairness.md``). Helpers express the two fairness policies the
-paper calls out — Equal Opportunity (same ``c`` per group) and the
-disparate-impact "80% rule".
+``docs/fairness.md``). Groups defined by attribute values are declared as
+:class:`GroupRule` predicates and materialized by
+:func:`system_from_rules` (or :func:`system_from_dict` from the JSON wire
+shape); a multi-key ``where`` declares an intersection. :class:`GroupSet`
+holds static, disjoint member sets. Helpers express the two fairness
+policies the paper calls out — Equal Opportunity (same ``c`` per group)
+and the disparate-impact "80% rule".
 """
 
-from repro.groups.groups import GroupSet, NodeGroup, groups_from_attribute
+from repro.groups.groups import GroupSet, NodeGroup
 from repro.groups.system import (
     AGGREGATES,
     EMPTY_MEMBERSHIP_DIFF,
@@ -29,11 +32,6 @@ from repro.groups.fairness import (
     satisfies_eighty_percent_rule,
 )
 from repro.groups.auditing import FairnessAudit, audit_answer
-from repro.groups.intersectional import (
-    attribute_axis,
-    bucketize,
-    intersect_attributes,
-)
 
 __all__ = [
     "AGGREGATES",
@@ -45,7 +43,6 @@ __all__ = [
     "GroupSet",
     "GroupSystem",
     "canonical_spec",
-    "groups_from_attribute",
     "rules_from_spec",
     "system_from_dict",
     "system_from_rules",
@@ -55,7 +52,4 @@ __all__ = [
     "satisfies_eighty_percent_rule",
     "FairnessAudit",
     "audit_answer",
-    "bucketize",
-    "attribute_axis",
-    "intersect_attributes",
 ]

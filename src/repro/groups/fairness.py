@@ -11,12 +11,12 @@ from __future__ import annotations
 from typing import Dict, Mapping
 
 from repro.errors import GroupError
-from repro.groups.groups import GroupSet
+from repro.groups.system import GroupSystem
 
 
 def equal_opportunity_constraints(
-    groups: GroupSet, total_coverage: int
-) -> GroupSet:
+    groups: GroupSystem, total_coverage: int
+) -> GroupSystem:
     """Distribute ``C`` evenly across groups (the paper's Equal Opportunity).
 
     ``C`` must divide cleanly enough: each group receives ``C // m`` and the
@@ -58,27 +58,3 @@ def satisfies_eighty_percent_rule(
 ) -> bool:
     """The "80% rule": minority share at least ``threshold`` of majority."""
     return disparate_impact_ratio(overlaps) >= threshold
-
-
-def proportional_constraints(
-    groups: GroupSet, total_coverage: int
-) -> GroupSet:
-    """Distribute ``C`` proportionally to group sizes (demographic parity).
-
-    An alternative policy to Equal Opportunity, useful in the examples:
-    larger groups receive proportionally larger coverage requirements.
-    """
-    total_members = sum(len(g) for g in groups)
-    if total_members == 0:
-        raise GroupError("cannot distribute coverage over empty groups")
-    constraints: Dict[str, int] = {}
-    assigned = 0
-    ordered = list(groups)
-    for group in ordered[:-1]:
-        share = round(total_coverage * len(group) / total_members)
-        share = min(share, len(group))
-        constraints[group.name] = share
-        assigned += share
-    last = ordered[-1]
-    constraints[last.name] = min(max(total_coverage - assigned, 0), len(last))
-    return groups.with_constraints(constraints)

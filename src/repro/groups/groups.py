@@ -1,23 +1,24 @@
-"""Disjoint node groups with coverage constraints (paper's ``P`` and ``C``).
+"""Disjoint node groups with static member sets (paper's ``P`` and ``C``).
 
 :class:`GroupSet` is the paper's exact setting — ``m`` pairwise-disjoint
 groups scored with the L1 aggregate — expressed as the strict special
 case of the generalized :class:`~repro.groups.system.GroupSystem`
 (overlap allowed, relaxed thresholds, pluggable aggregate ``f``; see
-``docs/fairness.md``). Disjointness is validated at construction and all
-coverage arithmetic stays the pure-integer L1 path, so legacy archives
-and counter baselines are byte-identical to the pre-generalization code.
+``docs/fairness.md``). It takes explicit member sets, as the hardness
+reduction and hand-built systems need; disjointness is validated at
+construction and coverage stays pure-integer L1 arithmetic. Groups defined
+by attribute values are built with
+:func:`~repro.groups.system.system_from_rules` instead.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.errors import GroupError
-from repro.graph.attributed_graph import AttributedGraph
 from repro.groups.system import GroupSystem, NodeGroup
 
-__all__ = ["GroupSet", "NodeGroup", "groups_from_attribute"]
+__all__ = ["GroupSet", "NodeGroup"]
 
 
 class GroupSet(GroupSystem):
@@ -57,44 +58,6 @@ class GroupSet(GroupSystem):
         names = self.groups_of(node_id)
         return names[0] if names else None
 
-    def with_constraints(self, constraints: Mapping[str, int]) -> "GroupSet":
-        """A copy with some coverage constraints replaced."""
-        groups: List[NodeGroup] = []
-        for group in self:
-            coverage = constraints.get(group.name, group.coverage)
-            groups.append(
-                NodeGroup(group.name, group.members, coverage, group.relax)
-            )
-        return GroupSet(groups)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = ", ".join(f"{g.name}(|P|={len(g)}, c={g.coverage})" for g in self)
         return f"GroupSet({parts})"
-
-
-def groups_from_attribute(
-    graph: AttributedGraph,
-    attribute: str,
-    coverage: Mapping[str, int],
-    label: str | None = None,
-) -> GroupSet:
-    """Induce groups by an attribute's values (the paper's group recipes).
-
-    One group per key of ``coverage``; a node joins group ``g`` if its
-    ``attribute`` equals ``g`` (and its label matches ``label`` if given).
-    Values absent from ``coverage`` are ignored, so passing
-    ``{"Action": 100, "Romance": 100}`` induces exactly two genre groups.
-    """
-    members: Dict[str, set] = {name: set() for name in coverage}
-    for node in graph.nodes():
-        if label is not None and node.label != label:
-            continue
-        value = node.attributes.get(attribute)
-        if value in members:
-            members[value].add(node.node_id)
-    return GroupSet(
-        [
-            NodeGroup(name, frozenset(nodes), coverage[name])
-            for name, nodes in members.items()
-        ]
-    )

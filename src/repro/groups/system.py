@@ -16,16 +16,21 @@ relaxed-threshold fairness literature (see ``docs/fairness.md``):
   deviations ``dev_i = | |q(G) ∩ P_i| − c_i |`` as ``"l1"`` (the paper's
   sum), ``"max"`` (worst group only) or ``"weighted"`` (``Σ w_i·dev_i``).
 
-The disjoint :class:`~repro.groups.groups.GroupSet` subclasses this with
-disjointness validation and the L1 aggregate, so every legacy call site
-keeps its exact integer arithmetic — archives and counter baselines stay
-byte-identical (pinned by ``tests/property/test_group_system_properties``
-and the engine/scoring/streaming differential suites).
-
-Group systems are usually *declared*, not enumerated: a
+Groups defined by attribute values are *declared*, not enumerated: a
 :class:`GroupRule` names an attribute-combination predicate (a
 conjunction of equality / membership tests, optionally label-scoped) and
 :func:`system_from_rules` materializes the member sets in one graph scan.
+This is the one way to build a group from attributes: the dataset
+builders, scenario generators, the serving layer and the CLI all use it.
+A multi-key ``where`` is an intersection (``{"gender": "F", "band":
+"senior"}``); a membership list is a band (``{"yearsOfExp":
+list(range(5))}``).
+
+The disjoint :class:`~repro.groups.groups.GroupSet` subclasses this with
+disjointness validation and the L1 aggregate; it holds static member sets
+(the paper's exact setting, the hardness reduction and hand-built test
+systems). Its integer L1 arithmetic equals a disjoint :class:`GroupSystem`
+bit for bit (pinned by ``tests/property/test_group_system_properties``).
 :func:`system_from_dict` accepts the JSON wire shape the serving layer
 and the ``--group-system`` CLI flag use::
 
@@ -37,7 +42,7 @@ and the ``--group-system`` CLI flag use::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     Any,
     Dict,
@@ -509,14 +514,37 @@ class GroupSystem:
         return sum(weights[g.name] * g.coverage for g in self._groups)
 
     def with_constraints(self, constraints: Mapping[str, int]) -> "GroupSystem":
-        """A copy with some coverage constraints replaced."""
+        """A copy with some coverage constraints replaced.
+
+        The copy keeps the receiver's class, aggregate, weights and relax
+        slacks. A rule-built copy keeps its rules (each carrying its new
+        coverage, which :meth:`repair_membership` re-clamps from), the
+        clamp mode and the source graph, so it equals
+        :func:`system_from_rules` with the new coverages and still repairs
+        membership under attribute churn. Clamp mode lowers a target above
+        its group's population, as that rebuild would.
+        """
         groups: List[NodeGroup] = []
         for group in self._groups:
             coverage = constraints.get(group.name, group.coverage)
+            if self._clamp:
+                coverage = min(coverage, len(group.members))
             groups.append(
                 NodeGroup(group.name, group.members, coverage, group.relax)
             )
-        return GroupSystem(groups, self.aggregate, self._weights)
+        # Subclass constructors take other arguments (GroupSet: the groups
+        # only); the member sets, and so any validated property, are the
+        # receiver's.
+        copy = object.__new__(type(self))
+        GroupSystem.__init__(copy, groups, self.aggregate, self._weights)
+        if self._rules is not None:
+            copy._rules = tuple(
+                replace(rule, coverage=constraints.get(rule.name, rule.coverage))
+                for rule in self._rules
+            )
+            copy._clamp = self._clamp
+            copy._graph = self._graph
+        return copy
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = ", ".join(
@@ -587,10 +615,9 @@ def system_from_rules(
     this so a constraint can never be unsatisfiable by construction);
     without it an oversized target raises :class:`~repro.errors.GroupError`.
 
-    Construction work is published under ``groups.*`` when ``metrics`` is
-    given — legacy :class:`~repro.groups.groups.GroupSet` paths never
-    build systems from rules, so counter baselines taken without rules
-    stay byte-identical.
+    Construction work is published under ``groups.*`` only when
+    ``metrics`` is given; the dataset builders pass none, so their runs
+    publish no construction counters.
     """
     if not rules:
         raise GroupError("at least one group rule is required")

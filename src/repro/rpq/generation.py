@@ -22,7 +22,7 @@ from repro.core.result import GenerationResult, RunStats
 from repro.core.update import EpsilonParetoArchive
 from repro.errors import ConfigurationError
 from repro.graph.attributed_graph import AttributedGraph
-from repro.groups.groups import GroupSet
+from repro.groups.system import GroupSystem
 from repro.rpq.template import RPQTemplate
 
 
@@ -46,7 +46,7 @@ class RPQGen:
         self,
         graph: AttributedGraph,
         template: RPQTemplate,
-        groups: GroupSet,
+        groups: GroupSystem,
         epsilon: float = 0.05,
         lam: float = 0.5,
         relevance: Optional[RelevanceScorer] = None,

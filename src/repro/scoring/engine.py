@@ -42,11 +42,7 @@ from typing import (
 )
 
 from repro.core.distance import _is_number
-from repro.core.measures import (
-    CoverageMeasure,
-    DiversityMeasure,
-    WeightedCoverageMeasure,
-)
+from repro.core.measures import CoverageMeasure, DiversityMeasure
 from repro.graph.attributed_graph import AttributedGraph
 from repro.groups.system import MembershipDiff
 from repro.obs.registry import MetricsRegistry
@@ -100,11 +96,11 @@ class ScoreEngine:
         # caches themselves, so their cost tracks the touched entries,
         # not the LRU capacity.
         self._by_node: Dict[int, Set[FrozenSet[int]]] = {}
-        # Capability detection — exact-subclass checks, not isinstance: a
+        # Capability detection — exact-class checks, not isinstance: a
         # subclass may override of()/is_feasible with semantics the
         # maintained reductions do not reproduce.
         self._div_delta = type(diversity) is DiversityMeasure
-        self._cov_delta = type(coverage) in (CoverageMeasure, WeightedCoverageMeasure)
+        self._cov_delta = type(coverage) is CoverageMeasure
         self._groups = coverage.groups if self._cov_delta else None
         # Attribute statistics only pay off when the decomposed Gower path
         # can consume them; "exact" mode never reads them.

@@ -12,9 +12,7 @@ answer set in delta-updatable form:
   (:mod:`repro.core.distance`);
 * per-group overlap counters, maintained through the node→groups inverted
   index on :class:`~repro.groups.system.GroupSystem` (each node updates
-  every group it belongs to — exactly one for the disjoint
-  :class:`~repro.groups.groups.GroupSet`, so the legacy integer counter
-  stream is unchanged).
+  every group it belongs to — at most one for disjoint groups).
 
 States are *persistent by copying*: :meth:`derive` clones the parent's
 structures and applies the delta, leaving the parent untouched for its

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.pareto import dominates, epsilon_dominates
-from repro.groups.groups import GroupSet, NodeGroup, groups_from_attribute
+from repro.groups import GroupRule, system_from_rules
 from repro.query.predicates import Op
 from repro.query.variables import RangeVariable
 from repro.rpq import RPQGen, RPQTemplate
@@ -21,9 +21,10 @@ def setup(small_lki_bundle):
             RangeVariable("min_dst_exp", "target", "yearsOfExp", Op.GE),
         ],
     )
-    groups = groups_from_attribute(
-        graph, "gender", {"M": 0, "F": 0}, label="person"
-    ).with_constraints({"M": 3, "F": 3})
+    groups = system_from_rules(
+        graph,
+        [GroupRule(value, {"gender": value}, 3, label="person") for value in ("M", "F")],
+    )
     return graph, template, groups
 
 

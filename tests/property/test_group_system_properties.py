@@ -17,11 +17,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.measures import (
-    CoverageMeasure,
-    DiversityMeasure,
-    WeightedCoverageMeasure,
-)
+from repro.core.measures import CoverageMeasure, DiversityMeasure
 from repro.graph.attributed_graph import AttributedGraph
 from repro.groups.groups import GroupSet
 from repro.groups.system import GroupSystem, NodeGroup
@@ -97,8 +93,8 @@ class TestDisjointEquivalence:
     @SETTINGS
     @given(groups=disjoint_groups(), answer=answers)
     def test_weighted_measure_agrees_on_unit_weights(self, groups, answer):
-        legacy = WeightedCoverageMeasure(GroupSet(groups), {})
-        general = WeightedCoverageMeasure(GroupSystem(groups), {})
+        legacy = CoverageMeasure(GroupSet(groups))
+        general = CoverageMeasure(GroupSystem(groups, "weighted"))
         assert legacy.of(answer) == general.of(answer)
         assert legacy.of_overlaps(legacy.overlaps(answer)) == general.of_overlaps(
             general.overlaps(answer)

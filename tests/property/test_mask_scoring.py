@@ -8,9 +8,9 @@ set path — the pure-Python pair sums (``_pair_sum_exact`` /
 ``_pair_sum_decomposed``), the relevance loop and ``len(members &
 answer)`` per group — (δ, f, feasible) must agree exactly (``float.hex``),
 over overlapping group systems whose groups also hold nodes of another
-label, the ``l1`` / ``max`` / ``weighted`` aggregates, relax slacks,
-:class:`~repro.core.measures.WeightedCoverageMeasure` and a per-node or a
-constant relevance scorer. Group member masks repaired by random
+label, the ``l1`` / ``max`` / ``weighted`` aggregates (with drawn
+per-group weights), relax slacks and a per-node or a constant relevance
+scorer. Group member masks repaired by random
 :meth:`~repro.groups.system.GroupSystem.repair_membership` streams must
 equal masks built cold from the repaired members and from a fresh rule
 build.
@@ -18,7 +18,7 @@ build.
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.measures import CoverageMeasure, DiversityMeasure, WeightedCoverageMeasure
+from repro.core.measures import CoverageMeasure, DiversityMeasure
 from repro.core.relevance import ConstantRelevance
 from repro.graph.attributed_graph import AttributedGraph
 from repro.groups.system import GroupRule, GroupSystem, NodeGroup, system_from_rules
@@ -110,9 +110,8 @@ class TestMaskScoresEqualIdScores:
         enumeration, mask, answer = answer_mask(data.draw, graph)
         if weighted:
             weights = {g.name: data.draw(st.sampled_from([0.0, 0.7, 1.0, 4.5])) for g in system}
-            measure = WeightedCoverageMeasure(system, weights)
-        else:
-            measure = CoverageMeasure(system)
+            system = GroupSystem(list(system), "weighted", weights)
+        measure = CoverageMeasure(system)
         assert system.mask_overlaps(enumeration, mask) == {
             g.name: len(g.members & answer) for g in system
         }

@@ -411,6 +411,56 @@ class TestRepairMembership:
         assert diff.moves[0].node == 0
 
 
+class TestWithConstraintsOnRules:
+    def test_copy_keeps_rules_and_repairs_to_the_new_target(self):
+        graph = _churn_graph()
+        system = system_from_rules(
+            graph, REPAIR_RULES, aggregate="weighted", clamp=True
+        )
+        bumped = system.with_constraints({"F": 2, "tech": 3})
+        assert bumped.has_rules and type(bumped) is GroupSystem
+        assert [rule.coverage for rule in bumped.rules] == [1, 2, 3]
+        assert [rule.coverage for rule in system.rules] == [1, 1, 1]
+        delta = _churn(graph, (0, "gender", "F"))
+        diff = bumped.repair_membership(delta)
+        assert [(m.node, m.removed, m.added) for m in diff.moves] == [
+            (0, ("M",), ("F",))
+        ]
+        assert bumped["F"].coverage == 2
+        rebuilt = system_from_rules(
+            graph,
+            [
+                GroupRule(r.name, r.where, c, r.relax, r.weight, r.label)
+                for r, c in zip(REPAIR_RULES, (1, 2, 3))
+            ],
+            aggregate="weighted",
+            clamp=True,
+        )
+        for name in rebuilt.names:
+            assert bumped[name].members == rebuilt[name].members
+            assert bumped[name].coverage == rebuilt[name].coverage
+            assert bumped[name].relax == rebuilt[name].relax
+        assert bumped.weights == rebuilt.weights
+        assert bumped.aggregate == rebuilt.aggregate
+        for node in range(4):
+            assert bumped.groups_of(node) == rebuilt.groups_of(node)
+
+    def test_clamp_lowers_an_oversized_target(self):
+        graph = _churn_graph()
+        system = system_from_rules(graph, REPAIR_RULES, clamp=True)
+        assert system.with_constraints({"M": 9})["M"].coverage == 2
+        strict = system_from_rules(graph, REPAIR_RULES)
+        with pytest.raises(GroupError, match="exceeds size"):
+            strict.with_constraints({"M": 9})
+
+    def test_static_copy_stays_static(self):
+        bumped = overlapping_system().with_constraints({"senior": 3})
+        assert not bumped.has_rules
+        assert bumped.repair_membership(
+            GraphDelta(set_attributes=((1, "gender", "F"),))
+        ).is_empty
+
+
 VALID_SPEC = {
     "aggregate": "max",
     "groups": [

@@ -5,14 +5,14 @@ import pytest
 from repro.errors import GroupError
 from repro.graph.builder import GraphBuilder
 from repro.groups import (
+    GroupRule,
     GroupSet,
     NodeGroup,
     disparate_impact_ratio,
     equal_opportunity_constraints,
     satisfies_eighty_percent_rule,
+    system_from_rules,
 )
-from repro.groups.fairness import proportional_constraints
-from repro.groups.groups import groups_from_attribute
 
 
 def make_groups():
@@ -87,24 +87,32 @@ class TestGroupSet:
 
 
 class TestGroupsFromAttribute:
+    """One rule per attribute value, as the dataset builders declare them."""
+
     def test_induction(self):
         b = GraphBuilder()
         for genre in ["Action", "Action", "Drama", "Comedy"]:
             b.node("movie", genre=genre)
         b.node("person", genre="Action")  # Wrong label: excluded.
         graph = b.build()
-        groups = groups_from_attribute(
-            graph, "genre", {"Action": 1, "Drama": 1}, label="movie"
+        groups = system_from_rules(
+            graph,
+            [
+                GroupRule(genre, {"genre": genre}, 1, label="movie")
+                for genre in ("Action", "Drama")
+            ],
         )
-        assert len(groups["Action"]) == 2
-        assert len(groups["Drama"]) == 1
+        assert groups["Action"].members == frozenset({0, 1})
+        assert groups["Drama"].members == frozenset({2})
 
     def test_unconstrained_values_ignored(self):
         b = GraphBuilder()
         b.node("movie", genre="Horror")
+        b.node("movie", genre="Drama")
         graph = b.build()
-        groups = groups_from_attribute(graph, "genre", {"Horror": 1})
+        groups = system_from_rules(graph, [GroupRule("Horror", {"genre": "Horror"}, 1)])
         assert groups.names == ("Horror",)
+        assert groups.groups_of(1) == ()
 
 
 class TestFairnessHelpers:
@@ -150,14 +158,3 @@ class TestFairnessHelpers:
     def test_eighty_percent_rule(self):
         assert satisfies_eighty_percent_rule({"m": 10, "f": 8})
         assert not satisfies_eighty_percent_rule({"m": 10, "f": 7})
-
-    def test_proportional_constraints(self):
-        groups = GroupSet(
-            [
-                NodeGroup("big", frozenset(range(0, 30)), 0),
-                NodeGroup("small", frozenset(range(30, 40)), 0),
-            ]
-        )
-        adjusted = proportional_constraints(groups, 8)
-        assert adjusted["big"].coverage == 6
-        assert adjusted["small"].coverage == 2

@@ -1,10 +1,14 @@
-"""Unit tests for intersectional group construction."""
+"""Unit tests for intersectional groups declared as rules.
+
+An intersection is one rule with several ``where`` keys; an integer band
+is a membership list over the attribute's values.
+"""
 
 import pytest
 
 from repro.errors import GroupError
 from repro.graph.builder import GraphBuilder
-from repro.groups.intersectional import attribute_axis, bucketize, intersect_attributes
+from repro.groups import GroupRule, GroupSet, system_from_rules
 
 
 @pytest.fixture(scope="module")
@@ -19,89 +23,99 @@ def graph():
     return b.build()
 
 
-BANDS = [("junior", 5), ("senior", float("inf"))]
+BANDS = {"junior": list(range(5)), "senior": list(range(5, 100))}
+
+
+def intersections(coverage):
+    """One rule per ``(gender, band)`` cell, named ``"F×senior"``."""
+    return [
+        GroupRule(
+            f"{gender}×{band}",
+            {"gender": gender, "yearsOfExp": BANDS[band]},
+            required,
+            label="person",
+        )
+        for (gender, band), required in coverage.items()
+    ]
 
 
 class TestBucketize:
+    """Integer bands as membership-list rules."""
+
+    def bands(self, graph, bands):
+        rules = [
+            GroupRule(name, {"yearsOfExp": values}, 0, label="person")
+            for name, values in bands.items()
+        ]
+        return system_from_rules(graph, rules)
+
     def test_banding(self, graph):
-        bands = bucketize(graph, "person", "yearsOfExp", BANDS)
-        assert bands[0] == "junior"  # F/2.
-        assert bands[1] == "senior"  # F/10.
-        assert bands[3] == "junior"  # M/3.
+        bands = self.bands(graph, BANDS)
+        assert bands.groups_of(0) == ("junior",)  # F/2.
+        assert bands.groups_of(1) == ("senior",)  # F/10.
+        assert bands.groups_of(3) == ("junior",)  # M/3.
 
     def test_missing_attribute_excluded(self, graph):
-        bands = bucketize(graph, "person", "yearsOfExp", BANDS)
-        assert 6 not in bands  # The attribute-less person.
-
-    def test_validation(self, graph):
-        with pytest.raises(GroupError):
-            bucketize(graph, "person", "yearsOfExp", [])
-        with pytest.raises(GroupError):
-            bucketize(graph, "person", "yearsOfExp", [("a", 10), ("b", 5)])
+        bands = self.bands(graph, BANDS)
+        assert bands.groups_of(6) == ()  # The attribute-less person.
+        assert bands.groups_of(7) == ()  # The org, another label.
 
     def test_strictly_below_semantics(self, graph):
-        bands = bucketize(graph, "person", "yearsOfExp", [("low", 10), ("high", 99)])
-        # F/10 is NOT strictly below 10 → high.
-        assert bands[1] == "high"
+        bands = self.bands(graph, {"low": list(range(10)), "high": list(range(10, 99))})
+        # F/10 is not in range(10) → high.
+        assert bands.groups_of(1) == ("high",)
 
 
 class TestIntersectAttributes:
     def test_cross_product_groups(self, graph):
-        gender = attribute_axis(graph, "person", "gender")
-        seniority = bucketize(graph, "person", "yearsOfExp", BANDS)
-        groups = intersect_attributes(
+        groups = system_from_rules(
             graph,
-            "person",
-            [gender, seniority],
-            coverage={
-                ("F", "junior"): 1,
-                ("F", "senior"): 1,
-                ("M", "junior"): 1,
-                ("M", "senior"): 1,
-            },
+            intersections(
+                {
+                    ("F", "junior"): 1,
+                    ("F", "senior"): 1,
+                    ("M", "junior"): 1,
+                    ("M", "senior"): 1,
+                }
+            ),
         )
         assert len(groups) == 4
-        assert len(groups["F×junior"]) == 1
-        assert len(groups["F×senior"]) == 2
-        assert len(groups["M×senior"]) == 2
+        assert groups["F×junior"].members == frozenset({0})
+        assert groups["F×senior"].members == frozenset({1, 2})
+        assert groups["M×junior"].members == frozenset({3})
+        assert groups["M×senior"].members == frozenset({4, 5})
 
     def test_disjointness_automatic(self, graph):
-        gender = attribute_axis(graph, "person", "gender")
-        seniority = bucketize(graph, "person", "yearsOfExp", BANDS)
-        groups = intersect_attributes(
-            graph, "person", [gender, seniority],
-            coverage={("F", "junior"): 1, ("M", "junior"): 1},
+        groups = system_from_rules(
+            graph, intersections({("F", "junior"): 1, ("M", "junior"): 1})
         )
-        all_members = [v for g in groups for v in g.members]
-        assert len(all_members) == len(set(all_members))
+        assert groups.is_disjoint
+        GroupSet(list(groups))  # Accepted: the disjoint special case.
 
     def test_unrequested_tuples_skipped(self, graph):
-        gender = attribute_axis(graph, "person", "gender")
-        groups = intersect_attributes(
-            graph, "person", [gender], coverage={("F",): 2}
+        groups = system_from_rules(
+            graph, [GroupRule("F", {"gender": "F"}, 2, label="person")]
         )
         assert groups.names == ("F",)
 
     def test_overcoverage_rejected(self, graph):
-        gender = attribute_axis(graph, "person", "gender")
-        with pytest.raises(GroupError):
-            intersect_attributes(
-                graph, "person", [gender], coverage={("F",): 99}
-            )
+        rules = [GroupRule("F", {"gender": "F"}, 99, label="person")]
+        with pytest.raises(GroupError, match="exceeds size 3"):
+            system_from_rules(graph, rules)
+        assert system_from_rules(graph, rules, clamp=True)["F"].coverage == 3
 
     def test_no_axes_rejected(self, graph):
         with pytest.raises(GroupError):
-            intersect_attributes(graph, "person", [], coverage={})
+            GroupRule("nobody", {}, 0)
+        with pytest.raises(GroupError):
+            system_from_rules(graph, [])
 
     def test_usable_in_generation(self, graph):
-        """Intersectional groups drive FairSQG like any other GroupSet."""
+        """Intersectional rule systems drive FairSQG like any other groups."""
         from repro import EnumQGen, GenerationConfig, Op, QueryTemplate
 
-        gender = attribute_axis(graph, "person", "gender")
-        seniority = bucketize(graph, "person", "yearsOfExp", BANDS)
-        groups = intersect_attributes(
-            graph, "person", [gender, seniority],
-            coverage={("F", "senior"): 1, ("M", "senior"): 1},
+        groups = system_from_rules(
+            graph, intersections({("F", "senior"): 1, ("M", "senior"): 1})
         )
         template = (
             QueryTemplate.builder("everyone")

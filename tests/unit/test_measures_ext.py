@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.core.measures import WeightedCoverageMeasure, max_min_diversity
-from repro.errors import ConfigurationError
+from repro.core.measures import CoverageMeasure, max_min_diversity
+from repro.errors import GroupError
 from repro.graph.builder import GraphBuilder
-from repro.groups import GroupSet, NodeGroup
+from repro.groups import GroupSet, GroupSystem, NodeGroup
 
 
 @pytest.fixture()
@@ -18,18 +18,21 @@ def groups():
     )
 
 
+def weighted_measure(groups, weights):
+    """Coverage under the ``"weighted"`` aggregate of ``groups``' members."""
+    return CoverageMeasure(GroupSystem(list(groups), "weighted", weights))
+
+
 class TestWeightedCoverage:
     def test_unit_weights_equal_plain_measure(self, groups):
-        from repro.core.measures import CoverageMeasure
-
-        weighted = WeightedCoverageMeasure(groups, {})
+        weighted = weighted_measure(groups, {})
         plain = CoverageMeasure(groups)
         for answer in ({0, 3}, {0, 1, 3}, set(), {0, 1, 2, 3, 4}):
             assert weighted.of(answer) == plain.of(answer)
         assert weighted.upper_bound == plain.upper_bound
 
     def test_heavier_group_penalized_more(self, groups):
-        weighted = WeightedCoverageMeasure(groups, {"A": 3.0})
+        weighted = weighted_measure(groups, {"A": 3.0})
         # Exact coverage scores the (weighted) maximum.
         assert weighted.of({0, 3}) == weighted.upper_bound == 4.0
         # Overshooting A by one costs 3; overshooting B by one costs 1.
@@ -37,17 +40,17 @@ class TestWeightedCoverage:
         assert weighted.of({0, 3, 4}) == 3.0
 
     def test_clamped_at_zero(self, groups):
-        weighted = WeightedCoverageMeasure(groups, {"A": 10.0})
+        weighted = weighted_measure(groups, {"A": 10.0})
         assert weighted.of({0, 1, 2, 3}) == 0.0
 
     def test_validation(self, groups):
-        with pytest.raises(ConfigurationError):
-            WeightedCoverageMeasure(groups, {"ghost": 1.0})
-        with pytest.raises(ConfigurationError):
-            WeightedCoverageMeasure(groups, {"A": -1.0})
+        with pytest.raises(GroupError):
+            weighted_measure(groups, {"ghost": 1.0})
+        with pytest.raises(GroupError):
+            weighted_measure(groups, {"A": -1.0})
 
     def test_feasibility_unchanged(self, groups):
-        weighted = WeightedCoverageMeasure(groups, {"A": 5.0})
+        weighted = weighted_measure(groups, {"A": 5.0})
         assert weighted.is_feasible({0, 3})
         assert not weighted.is_feasible({0})
 
@@ -56,9 +59,7 @@ class TestWeightedCoverage:
         from repro.core.evaluator import InstanceEvaluator
 
         evaluator = InstanceEvaluator(talent_config)
-        evaluator.coverage = WeightedCoverageMeasure(
-            talent_config.groups, {"F": 2.0}
-        )
+        evaluator.coverage = weighted_measure(talent_config.groups, {"F": 2.0})
         from repro.core.lattice import InstanceLattice
 
         root = InstanceLattice(talent_config).root()

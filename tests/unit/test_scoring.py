@@ -6,14 +6,10 @@ import pytest
 
 from repro.core.config import GenerationConfig
 from repro.core.lattice import InstanceLattice
-from repro.core.measures import (
-    CoverageMeasure,
-    DiversityMeasure,
-    WeightedCoverageMeasure,
-)
+from repro.core.measures import CoverageMeasure, DiversityMeasure
 from repro.errors import ConfigurationError
 from repro.graph.attributed_graph import AttributedGraph
-from repro.groups import GroupRule, system_from_rules
+from repro.groups import GroupRule, GroupSystem, system_from_rules
 from repro.groups.groups import GroupSet, NodeGroup
 from repro.obs.registry import MetricsRegistry
 from repro.scoring import AttributeStats, ScoreEngine, ScoreState
@@ -191,7 +187,7 @@ class TestScoreEngine:
 
     def test_weighted_coverage_delta_path(self):
         diversity = DiversityMeasure(GRAPH, "m", lam=0.5)
-        coverage = WeightedCoverageMeasure(GROUPS, {"even": 2.0})
+        coverage = CoverageMeasure(GroupSystem(list(GROUPS), "weighted", {"even": 2.0}))
         metrics = MetricsRegistry()
         engine = ScoreEngine(GRAPH, diversity, coverage, metrics=metrics)
         parent = frozenset(range(20))
@@ -355,10 +351,11 @@ class TestMeasuresMaintained:
         ) == coverage.is_feasible(answer)
 
     def test_weighted_upper_bound_cached_and_exact(self):
-        coverage = WeightedCoverageMeasure(GROUPS, {"even": 3.0, "odd": 0.5})
+        weighted = GroupSystem(list(GROUPS), "weighted", {"even": 3.0, "odd": 0.5})
+        coverage = CoverageMeasure(weighted)
         assert coverage.upper_bound == 3.0 * 2 + 0.5 * 2
         answer = set(range(5))
-        assert coverage.of_overlaps(GROUPS.overlap_counts(answer)) == coverage.of(answer)
+        assert coverage.of_overlaps(weighted.overlap_counts(answer)) == coverage.of(answer)
 
     def test_of_maintained_equals_of(self):
         for mode in ("auto", "exact", "decomposed"):
